@@ -27,7 +27,8 @@ vet:
 
 # The whole static story in one command: go vet plus the fpvalint suite
 # (determinism, allocation-free annotations, context flow, API boundary,
-# lostcancel, nilness). See DESIGN.md, "Static invariants".
+# nilness); go vet's own lostcancel covers context leaks. See DESIGN.md,
+# "Static invariants".
 lint:
 	$(GO) run ./cmd/fpvalint ./...
 

@@ -439,9 +439,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses, CacheCoalesced: st.CacheCoalesced,
 		CacheEntries: st.CacheEntries, CacheBytes: st.CacheBytes, CacheCapBytes: st.CacheCapBytes,
 		Solves: st.Solves, SolverWallNs: st.SolverWall.Nanoseconds(),
-		Campaigns: st.Campaigns, CampaignWallNs: st.CampaignWall.Nanoseconds(),
-		Verifies:  st.Verifies,
-		Diagnoses: st.Diagnoses, DiagnoseWallNs: st.DiagnoseWall.Nanoseconds(),
 		SigCacheHits: st.SigCacheHits, SigCacheMisses: st.SigCacheMisses,
 		SolverExecutor: st.SolverExecutor,
 		WorkerSlots:    st.WorkerSlots, WorkersAlive: st.WorkersAlive, WorkersBusy: st.WorkersBusy,
@@ -471,7 +468,8 @@ func kindStats(in map[string]fpva.JobKindStats) map[string]api.KindStats {
 	}
 	out := make(map[string]api.KindStats, len(in))
 	for k, v := range in {
-		out[k] = api.KindStats{Submitted: v.Submitted, Done: v.Done, Failed: v.Failed, Canceled: v.Canceled}
+		out[k] = api.KindStats{Submitted: v.Submitted, Done: v.Done, Failed: v.Failed, Canceled: v.Canceled,
+			WallNs: v.Wall.Nanoseconds()}
 	}
 	return out
 }
@@ -619,13 +617,6 @@ func (s *server) submitDiagnose(plan *fpva.Plan, p *api.DiagnoseParams) (*fpva.J
 				return nil, err
 			}
 			opts = append(opts, fpva.WithProbePlanner(pl))
-		}
-		if p.Engine != "" {
-			eng, err := fpva.ParseCampaignEngine(p.Engine)
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, fpva.WithDiagnoseEngine(eng))
 		}
 		if p.Workers > 0 {
 			opts = append(opts, fpva.WithDiagnoseWorkers(p.Workers))

@@ -3,9 +3,10 @@
 // deterministic iteration in solver packages (fpva/detorder), annotated
 // allocation-free hot paths (fpva/allocfree), context plumbing
 // (fpva/ctxflow), the cmd/+examples/ public-API import boundary
-// (fpva/apiboundary) — plus stdlib ports of the stock lostcancel and
-// nilness checks. With -vet (default) it also runs `go vet`, so
-// `go run ./cmd/fpvalint ./...` is the whole static story.
+// (fpva/apiboundary) — plus a stdlib port of the stock nilness check.
+// With -vet (default) it also runs `go vet` (whose CFG-based lostcancel
+// covers context leaks), so `go run ./cmd/fpvalint ./...` is the whole
+// static story.
 //
 // Diagnostics print as file:line:col: message [fpva/analyzer]; the exit
 // status is 1 when anything is found, 2 on usage or load errors.
@@ -31,7 +32,6 @@ import (
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/detorder"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/lostcancel"
 	"repro/internal/analysis/nilness"
 )
 
@@ -41,7 +41,6 @@ var registry = []*analysis.Analyzer{
 	detorder.Analyzer,
 	allocfree.Analyzer,
 	ctxflow.Analyzer,
-	lostcancel.Analyzer,
 	nilness.Analyzer,
 }
 

@@ -25,7 +25,7 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	if code := run("../..", []string{"-list"}, &out, &out); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, want := range []string{"fpva/detorder", "fpva/allocfree", "fpva/ctxflow", "fpva/apiboundary", "fpva/lostcancel", "fpva/nilness"} {
+	for _, want := range []string{"fpva/detorder", "fpva/allocfree", "fpva/ctxflow", "fpva/apiboundary", "fpva/nilness"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-list output missing %s:\n%s", want, out.String())
 		}

@@ -299,34 +299,3 @@ func TestRunUnknownCase(t *testing.T) {
 		t.Error("unknown case accepted")
 	}
 }
-
-func TestRunEnginesAgree(t *testing.T) {
-	// The scalar and bit-parallel engines must print identical detection
-	// tables; "auto" and the zero-valued options default must too.
-	outputs := map[string]string{}
-	for _, engine := range []string{"", "auto", "scalar", "bit-parallel"} {
-		var b strings.Builder
-		if err := run(context.Background(), &b, options{caseName: "5x5",
-			trials: 150, maxFaults: 3, seed: 42, workers: 2, engine: engine}); err != nil {
-			t.Fatalf("engine=%q: %v", engine, err)
-		}
-		outputs[engine] = b.String()
-	}
-	for engine, out := range outputs {
-		if out != outputs["scalar"] {
-			t.Errorf("engine=%q diverges from scalar:\n%s\nvs\n%s", engine, out, outputs["scalar"])
-		}
-	}
-}
-
-func TestRunUnknownEngine(t *testing.T) {
-	var b strings.Builder
-	err := run(context.Background(), &b, options{caseName: "5x5",
-		trials: 10, maxFaults: 1, seed: 1, engine: "simd"})
-	if err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-	if code := exitCode(err); code != 2 {
-		t.Fatalf("unknown engine exit code %d, want 2 (usage)", code)
-	}
-}

@@ -58,7 +58,6 @@ type VerifyParams struct {
 type DiagnoseParams struct {
 	Observations []Observation `json:"observations,omitempty"`
 	Planner      string        `json:"planner,omitempty"` // "greedy" | "ilp"
-	Engine       string        `json:"engine,omitempty"`  // "auto" | "bit-parallel" | "scalar"
 	Workers      int           `json:"workers,omitempty"`
 	Budget       int           `json:"budget,omitempty"`
 	MaxDoubles   int           `json:"maxDoubles,omitempty"`
@@ -182,11 +181,6 @@ type ServiceStats struct {
 	CacheCapBytes  int64                `json:"cacheCapBytes"`
 	Solves         int                  `json:"solves"`
 	SolverWallNs   int64                `json:"solverWallNs"`
-	Campaigns      int                  `json:"campaigns"`
-	CampaignWallNs int64                `json:"campaignWallNs"`
-	Verifies       int                  `json:"verifies"`
-	Diagnoses      int                  `json:"diagnoses"`
-	DiagnoseWallNs int64                `json:"diagnoseWallNs"`
 	SigCacheHits   int                  `json:"sigCacheHits"`
 	SigCacheMisses int                  `json:"sigCacheMisses"`
 	SolverExecutor string               `json:"solverExecutor,omitempty"`
@@ -251,10 +245,12 @@ type HealthWorkers struct {
 	Busy     int    `json:"busy,omitempty"`
 }
 
-// KindStats is the per-JobKind submission/terminal tally.
+// KindStats is the per-JobKind submission/terminal tally; WallNs sums
+// the running time of the done jobs.
 type KindStats struct {
-	Submitted int `json:"submitted"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Canceled  int `json:"canceled"`
+	Submitted int   `json:"submitted"`
+	Done      int   `json:"done"`
+	Failed    int   `json:"failed"`
+	Canceled  int   `json:"canceled"`
+	WallNs    int64 `json:"wallNs"`
 }

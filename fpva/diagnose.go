@@ -7,7 +7,6 @@ package fpva
 // after every observation.
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -15,7 +14,6 @@ import (
 
 	"repro/internal/diagnose"
 	"repro/internal/grid"
-	"repro/internal/sim"
 )
 
 // ProbePlanner selects how diagnosis picks the next probe vector.
@@ -113,7 +111,6 @@ type DiagnoseOption func(*diagnoseConfig)
 
 type diagnoseConfig struct {
 	workers    int
-	engine     CampaignEngine
 	planner    ProbePlanner
 	budget     int
 	maxDoubles int
@@ -125,13 +122,6 @@ type diagnoseConfig struct {
 // (default: all CPUs). The table — and everything computed from it — is
 // bit-identical for any worker count.
 func WithDiagnoseWorkers(n int) DiagnoseOption { return func(c *diagnoseConfig) { c.workers = n } }
-
-// WithDiagnoseEngine selects the signature-build engine (default
-// CampaignEngineAuto). Results are bit-identical across engines; the choice
-// only affects speed.
-func WithDiagnoseEngine(e CampaignEngine) DiagnoseOption {
-	return func(c *diagnoseConfig) { c.engine = e }
-}
 
 // WithProbePlanner selects the probe-planning strategy (default greedy).
 func WithProbePlanner(p ProbePlanner) DiagnoseOption {
@@ -161,25 +151,15 @@ func WithDiagnoseProgress(p Progress) DiagnoseOption {
 }
 
 // internalOptions maps the public diagnosis options onto the internal
-// engine configuration, rejecting unknown engine selections.
-func (c diagnoseConfig) internalOptions(p *Plan) (diagnose.Options, error) {
+// engine configuration.
+func (c diagnoseConfig) internalOptions(p *Plan) diagnose.Options {
 	opt := diagnose.Options{Workers: c.workers, MaxDoubles: c.maxDoubles}
-	switch c.engine {
-	case CampaignEngineAuto:
-		opt.Engine = sim.EngineAuto
-	case CampaignEngineBitParallel:
-		opt.Engine = sim.EngineBitParallel
-	case CampaignEngineScalar:
-		opt.Engine = sim.EngineScalar
-	default:
-		return diagnose.Options{}, fmt.Errorf("fpva: unknown campaign engine %d", int(c.engine))
-	}
 	if !c.noLeaks {
 		for _, lp := range p.ts.LeakPairs {
 			opt.LeakPairs = append(opt.LeakPairs, [2]grid.ValveID{lp[0], lp[1]})
 		}
 	}
-	return opt, nil
+	return opt
 }
 
 // internalPlanner maps the public planner selection onto the internal one.
@@ -195,7 +175,7 @@ func (c diagnoseConfig) internalPlanner() (diagnose.Planner, error) {
 
 // sigMemoEntry is the plan's one-slot signature memo: the last table
 // compiled, keyed by the options that shape the candidate universe
-// (workers and engine never change the table).
+// (the worker count never changes the table).
 type sigMemoEntry struct {
 	noLeaks    bool
 	maxDoubles int
@@ -207,12 +187,6 @@ type sigMemoEntry struct {
 // closed-loop study opening one session per hidden fault — fpvasim
 // -diagnose — pays for the compile once.
 func (p *Plan) compileSignatures(ctx context.Context, cfg diagnoseConfig) (*diagnose.Signatures, error) {
-	// Validate the options before the memo lookup: a cache hit must not
-	// let a bad engine selection through.
-	opt, err := cfg.internalOptions(p)
-	if err != nil {
-		return nil, err
-	}
 	p.sigMu.Lock()
 	if m := p.sigMemo; m != nil && m.noLeaks == cfg.noLeaks && m.maxDoubles == cfg.maxDoubles {
 		sg := m.sg
@@ -224,7 +198,7 @@ func (p *Plan) compileSignatures(ctx context.Context, cfg diagnoseConfig) (*diag
 	if err != nil {
 		return nil, err
 	}
-	sg, err := diagnose.Compile(ctx, cv, opt)
+	sg, err := diagnose.Compile(ctx, cv, cfg.internalOptions(p))
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +279,7 @@ func newDiagnosis(p *Plan, sg *diagnose.Signatures, sess *diagnose.Session, step
 // universe and a from-scratch probe plan.
 //
 // The result is deterministic: it depends only on the plan, the options and
-// the observations — never on worker count or engine. Cancelling ctx aborts
+// the observations — never on the worker count. Cancelling ctx aborts
 // the signature build promptly and returns an error wrapping ctx.Err().
 //
 // Diagnose reuses the plan's memoized signature table when the candidate
@@ -400,8 +374,8 @@ func (s *DiagnoseSession) Diagnosis(ctx context.Context) (*Diagnosis, error) {
 
 // sigKey derives the cache key of a compiled signature table: the SHA-256
 // of the plan's v1 wire encoding plus the fingerprint of every option that
-// can change the table. Worker counts and engines are deliberately excluded
-// — tables are bit-identical across both, so they must share an entry.
+// can change the table. Worker counts are deliberately excluded — tables
+// are bit-identical across them, so they must share an entry.
 func sigKey(p *Plan, cfg diagnoseConfig) (string, error) {
 	h := sha256.New()
 	if err := EncodePlan(h, p); err != nil {
@@ -415,47 +389,3 @@ func sigKey(p *Plan, cfg diagnoseConfig) (string, error) {
 // table is a few hundred KB for the Table I arrays; entries, not bytes, are
 // the natural unit because the dominant cost is the compile, not the RAM.
 const defaultSigCacheEntries = 8
-
-// sigCacheEntry is one cached signature table.
-type sigCacheEntry struct {
-	key string
-	sg  *diagnose.Signatures
-}
-
-// sigCache is an entry-capped LRU of compiled signature tables. It is not
-// goroutine-safe; the owning Service serializes access under its mutex.
-type sigCache struct {
-	capEntries int
-	ll         *list.List // front = most recently used; values are *sigCacheEntry
-	index      map[string]*list.Element
-}
-
-func newSigCache(capEntries int) *sigCache {
-	return &sigCache{capEntries: capEntries, ll: list.New(), index: make(map[string]*list.Element)}
-}
-
-func (c *sigCache) get(key string) (*diagnose.Signatures, bool) {
-	el, ok := c.index[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*sigCacheEntry).sg, true
-}
-
-func (c *sigCache) put(key string, sg *diagnose.Signatures) {
-	if el, ok := c.index[key]; ok {
-		el.Value.(*sigCacheEntry).sg = sg
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.index[key] = c.ll.PushFront(&sigCacheEntry{key: key, sg: sg})
-	for c.ll.Len() > c.capEntries {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		c.ll.Remove(back)
-		delete(c.index, back.Value.(*sigCacheEntry).key)
-	}
-}

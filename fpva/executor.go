@@ -112,13 +112,13 @@ func marshalSolveRequest(a *Array, cfg genConfig) ([]byte, error) {
 
 // solveSubprocess runs one deduplicated solve on the worker pool: request
 // out, phase events fanned to the flight as they stream in, plan wire
-// bytes back. The returned plan is decoded from those bytes, and fl.wire
-// keeps them verbatim — the cache entry and every later PlanBytes fetch
-// serve exactly what the worker produced.
-func (s *Service) solveSubprocess(ctx context.Context, fl *flight, a *Array, cfg genConfig) (*Plan, error) {
+// bytes back. The returned plan is decoded from those bytes, which it
+// keeps verbatim — the cache entry and every later PlanBytes fetch serve
+// exactly what the worker produced.
+func (s *Service) solveSubprocess(ctx context.Context, fl *flight, a *Array, cfg genConfig) (wirePlan, error) {
 	req, err := marshalSolveRequest(a, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("fpva: generate: encode solve request: %w", err)
+		return wirePlan{}, fmt.Errorf("fpva: generate: encode solve request: %w", err)
 	}
 	resp, err := s.pool.Do(ctx, req, func(ev []byte) {
 		var e solveEvent
@@ -128,14 +128,13 @@ func (s *Service) solveSubprocess(ctx context.Context, fl *flight, a *Array, cfg
 		fl.emit(s, Event{Kind: EventKind(e.Kind), Phase: Phase(e.Phase)})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("fpva: generate: %w", err)
+		return wirePlan{}, fmt.Errorf("fpva: generate: %w", err)
 	}
 	plan, err := DecodePlan(bytes.NewReader(resp))
 	if err != nil {
-		return nil, fmt.Errorf("fpva: generate: worker returned an invalid plan: %w", err)
+		return wirePlan{}, fmt.Errorf("fpva: generate: worker returned an invalid plan: %w", err)
 	}
-	fl.wire = resp
-	return plan, nil
+	return wirePlan{plan: plan, wire: resp}, nil
 }
 
 // ServeSolverWorker runs the solver-worker side of the subprocess

@@ -33,6 +33,15 @@ func TestMain(m *testing.M) {
 			func(ctx context.Context, req []byte, emit func([]byte)) ([]byte, error) {
 				return nil, errors.New("synthetic solver failure")
 			})
+	case "crashsolve":
+		// Worker that dies mid-solve. A nonzero exit: under -race an
+		// os.Exit(0) sleeps in racefini long enough for the ping watchdog
+		// to turn the crash into a kill.
+		workerpool.Serve(context.Background(), os.Stdin, os.Stdout,
+			func(ctx context.Context, req []byte, emit func([]byte)) ([]byte, error) {
+				os.Exit(3)
+				return nil, nil
+			})
 	case "hangsolve":
 		// Cooperative hang: the solve never finishes on its own but honors
 		// cancellation (deadline tests stay fast; the SIGKILL escalation

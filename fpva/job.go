@@ -22,10 +22,6 @@ const (
 	JobDiagnose
 )
 
-// jobKinds lists every kind in declaration order, for deterministic
-// per-kind reporting.
-var jobKinds = []JobKind{JobGenerate, JobCampaign, JobVerify, JobDiagnose}
-
 func (k JobKind) String() string {
 	switch k {
 	case JobGenerate:
@@ -112,19 +108,20 @@ type Job struct {
 	// moment of submission.
 	inPlan *Plan
 
-	mu       sync.Mutex
-	state    JobState
-	doneAt   time.Time // terminal-transition instant, for WithJobTTL expiry
-	cacheHit bool
-	events   []Event
-	notify   chan struct{} // closed and replaced on every append
-	err      error
-	plan     *Plan  // generate result
-	wire     []byte // v1 wire encoding of plan, when the service had one
-	camp     CampaignResult
-	verify   VerifyResult
-	diag     *Diagnosis
-	done     chan struct{}
+	mu        sync.Mutex
+	state     JobState
+	startedAt time.Time // pending -> running instant
+	doneAt    time.Time // terminal-transition instant, for WithJobTTL expiry
+	cacheHit  bool
+	events    []Event
+	notify    chan struct{} // closed and replaced on every append
+	err       error
+	plan      *Plan  // generate result
+	wire      []byte // v1 wire encoding of plan, when the service had one
+	camp      CampaignResult
+	verify    VerifyResult
+	diag      *Diagnosis
+	done      chan struct{}
 }
 
 func newJob(svc *Service, id string, kind JobKind, ctx context.Context, progress Progress) *Job {
@@ -360,16 +357,19 @@ func (j *Job) emit(e Event) {
 	}
 }
 
-// setRunning moves a pending job to JobRunning.
+// setRunning moves a pending job to JobRunning, stamping its start.
 func (j *Job) setRunning() {
 	j.mu.Lock()
 	if j.state == JobPending {
 		j.state = JobRunning
+		j.startedAt = time.Now()
 	}
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state exactly once.
+// finish moves the job to a terminal state exactly once. The service
+// books the outcome before Done closes, so Stats already counts the job by
+// the time any Wait returns.
 func (j *Job) finish(state JobState, err error) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -379,23 +379,27 @@ func (j *Job) finish(state JobState, err error) {
 	j.state = state
 	j.err = err
 	j.doneAt = time.Now()
+	var wall time.Duration
+	if !j.startedAt.IsZero() {
+		wall = j.doneAt.Sub(j.startedAt)
+	}
 	j.mu.Unlock()
 	j.cancel() // release the context watcher; no-op if already canceled
+	j.svc.noteTerminal(j.kind, state, wall)
 	close(j.done)
-	j.svc.noteTerminal(j.kind, state)
 }
 
-// finishPlan completes a generate job successfully. wire, when non-nil,
-// is the plan's v1 encoding (from the solve or the cache), retained so
-// PlanBytes can serve it without re-encoding.
-func (j *Job) finishPlan(p *Plan, wire []byte) {
+// finishPlan completes a generate job successfully. res.wire, when
+// non-nil, is the plan's v1 encoding (from the solve or the cache),
+// retained so PlanBytes can serve it without re-encoding.
+func (j *Job) finishPlan(res wirePlan) {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.plan = p
-	j.wire = wire
+	j.plan = res.plan
+	j.wire = res.wire
 	j.mu.Unlock()
 	j.finish(JobDone, nil)
 }

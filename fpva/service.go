@@ -55,8 +55,8 @@ type Service struct {
 	store *store.Store
 
 	mu       sync.Mutex
-	cache    *planCache // nil when caching is disabled
-	sigs     *sigCache  // compiled diagnosis signature tables
+	cache    *lru[wirePlan]             // memory tier of the plan lookup
+	sigs     *lru[*diagnose.Signatures] // compiled diagnosis signature tables
 	flights  map[string]*flight
 	jobs     map[string]*Job
 	order    []*Job // submission order, for Jobs()
@@ -73,13 +73,8 @@ type Service struct {
 	hits, misses, coalesced int
 	solves                  int
 	solverWall              time.Duration
-	campaigns               int
-	campaignWall            time.Duration
-	verifies                int
-	diagnoses               int
-	diagnoseWall            time.Duration
 	sigHits, sigMisses      int
-	byKind                  map[JobKind]*JobKindStats
+	byKind                  [JobDiagnose + 1]JobKindStats
 
 	wg sync.WaitGroup
 }
@@ -241,19 +236,16 @@ func NewService(opts ...ServiceOption) *Service {
 	s := &Service{
 		workers:       cfg.workers,
 		sem:           make(chan struct{}, cfg.workers),
-		sigs:          newSigCache(defaultSigCacheEntries),
+		cache:         newLRU(cfg.cacheBytes, wireCost),
+		sigs:          newLRU(defaultSigCacheEntries, func(*diagnose.Signatures) int64 { return 1 }),
 		flights:       make(map[string]*flight),
 		jobs:          make(map[string]*Job),
-		byKind:        make(map[JobKind]*JobKindStats),
 		retain:        cfg.retain,
 		executor:      cfg.executor,
 		solverTimeout: cfg.solverTimeout,
 		jobTTL:        cfg.jobTTL,
 		jobTimeout:    cfg.jobTimeout,
 		maxActive:     cfg.maxActive,
-	}
-	if cfg.cacheBytes > 0 {
-		s.cache = newPlanCache(cfg.cacheBytes)
 	}
 	if cfg.cacheDir != "" {
 		if cfg.diskBytes == 0 {
@@ -311,17 +303,8 @@ type ServiceStats struct {
 	Solves     int
 	SolverWall time.Duration
 
-	// Campaigns / CampaignWall account completed campaign jobs; Verifies
-	// counts completed verification jobs.
-	Campaigns    int
-	CampaignWall time.Duration
-	Verifies     int
-
-	// Diagnoses / DiagnoseWall account completed diagnosis jobs.
-	// SigCacheHits / SigCacheMisses count signature-table lookups: a hit
-	// skips recompiling the candidate response matrix.
-	Diagnoses      int
-	DiagnoseWall   time.Duration
+	// SigCacheHits / SigCacheMisses count diagnosis signature-table
+	// lookups: a hit skips recompiling the candidate response matrix.
 	SigCacheHits   int
 	SigCacheMisses int
 
@@ -333,10 +316,10 @@ type ServiceStats struct {
 	// "" when no cache directory is configured.
 	Store StoreStats
 
-	// Kinds partitions lifetime job counts by kind name ("generate",
-	// "campaign", "verify", "diagnose"). Submitted counts acceptances;
-	// Done / Failed / Canceled count terminal transitions, so their sum can
-	// trail Submitted by the jobs still in flight.
+	// Kinds is the per-kind job accounting, keyed by kind name
+	// ("generate", "campaign", "verify", "diagnose"; a kind appears once
+	// it has a submission). It already counts every job whose Wait has
+	// returned.
 	Kinds map[string]JobKindStats
 
 	// SolverExecutor names where generate solves run ("in-process" or
@@ -386,12 +369,16 @@ type StoreStats struct {
 	Recoveries int
 }
 
-// JobKindStats is the lifetime job accounting of one JobKind.
+// JobKindStats is the lifetime job accounting of one JobKind. Submitted
+// counts acceptances; Done / Failed / Canceled count terminal transitions,
+// so their sum can trail Submitted by the jobs still in flight. Wall sums
+// the running time (start to finish) of the Done jobs.
 type JobKindStats struct {
 	Submitted int
 	Done      int
 	Failed    int
 	Canceled  int
+	Wall      time.Duration
 }
 
 // Stats returns a snapshot of the service counters.
@@ -404,21 +391,14 @@ func (s *Service) Stats() ServiceStats {
 		JobsShed:      s.shed,
 		CacheHits:     s.hits, CacheMisses: s.misses, CacheCoalesced: s.coalesced,
 		Solves: s.solves, SolverWall: s.solverWall,
-		Campaigns: s.campaigns, CampaignWall: s.campaignWall,
-		Verifies:  s.verifies,
-		Diagnoses: s.diagnoses, DiagnoseWall: s.diagnoseWall,
 		SigCacheHits: s.sigHits, SigCacheMisses: s.sigMisses,
-		Kinds: make(map[string]JobKindStats, len(jobKinds)),
+		CacheEntries: s.cache.len(), CacheBytes: s.cache.total, CacheCapBytes: s.cache.capCost,
+		Kinds: make(map[string]JobKindStats, len(s.byKind)),
 	}
-	for _, k := range jobKinds {
-		if ks := s.byKind[k]; ks != nil {
-			st.Kinds[k.String()] = *ks
+	for k, ks := range s.byKind {
+		if ks.Submitted > 0 {
+			st.Kinds[JobKind(k).String()] = ks
 		}
-	}
-	if s.cache != nil {
-		st.CacheEntries = s.cache.len()
-		st.CacheBytes = s.cache.bytes
-		st.CacheCapBytes = s.cache.capBytes
 	}
 	if s.store != nil {
 		ss := s.store.Stats()
@@ -554,32 +534,23 @@ func (s *Service) register(kind JobKind, ctx context.Context, progress Progress,
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	s.submitted++
-	s.kindStats(kind).Submitted++
+	s.byKind[kind].Submitted++
 	s.wg.Add(1)
 	return j, nil
 }
 
-// kindStats returns the mutable per-kind counter, creating it on first
-// use. The caller holds s.mu.
-func (s *Service) kindStats(k JobKind) *JobKindStats {
-	ks := s.byKind[k]
-	if ks == nil {
-		ks = &JobKindStats{}
-		s.byKind[k] = ks
-	}
-	return ks
-}
-
-// noteTerminal is called exactly once per job as it turns terminal; it
-// tallies the per-kind outcome, and beyond the retention cap the oldest
+// noteTerminal is called exactly once per job as it turns terminal,
+// before its Wait returns; it tallies the per-kind outcome (and the
+// running time of a done job), and beyond the retention cap the oldest
 // terminal jobs are dropped from tracking.
-func (s *Service) noteTerminal(kind JobKind, state JobState) {
+func (s *Service) noteTerminal(kind JobKind, state JobState, wall time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ks := s.kindStats(kind)
+	ks := &s.byKind[kind]
 	switch state {
 	case JobDone:
 		ks.Done++
+		ks.Wall += wall
 	case JobFailed:
 		ks.Failed++
 	case JobCanceled:
@@ -685,7 +656,15 @@ func (s *Service) SubmitCampaign(ctx context.Context, p *Plan, opts ...CampaignO
 	if err != nil {
 		return nil, err
 	}
-	go s.runCampaign(j, p, opts)
+	all := append(append([]CampaignOption(nil), opts...),
+		WithCampaignProgress(func(e Event) { j.emit(e) }))
+	go s.run(j, func() error {
+		res, err := p.Campaign(j.ctx, all...)
+		j.mu.Lock()
+		j.camp = res
+		j.mu.Unlock()
+		return err
+	})
 	return j, nil
 }
 
@@ -700,13 +679,26 @@ func (s *Service) SubmitVerify(ctx context.Context, p *Plan, maxPairs int) (*Job
 	if err != nil {
 		return nil, err
 	}
-	go s.runVerify(j, p, maxPairs)
+	go s.run(j, func() error {
+		singles, err := p.VerifySingleFaults(j.ctx)
+		if err != nil {
+			return err
+		}
+		pairs, err := p.VerifyDoubleFaults(j.ctx, maxPairs)
+		if err != nil {
+			return err
+		}
+		j.mu.Lock()
+		j.verify = VerifyResult{SingleEscapes: singles, DoubleEscapes: pairs}
+		j.mu.Unlock()
+		return nil
+	})
 	return j, nil
 }
 
 // SubmitDiagnose queues an adaptive fault-diagnosis job against the plan.
-// Options are those of Plan.Diagnose; invalid engine or planner selections
-// fail synchronously. The returned handle resolves to a *Diagnosis via
+// Options are those of Plan.Diagnose; invalid planner selections fail
+// synchronously. The returned handle resolves to a *Diagnosis via
 // Job.Diagnosis after Job.Wait, and emits one DiagnoseTick event per
 // observation round.
 //
@@ -723,9 +715,6 @@ func (s *Service) SubmitDiagnose(ctx context.Context, p *Plan, obs []Observation
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if _, err := cfg.internalOptions(p); err != nil {
-		return nil, err
-	}
 	if _, err := cfg.internalPlanner(); err != nil {
 		return nil, err
 	}
@@ -739,8 +728,40 @@ func (s *Service) SubmitDiagnose(ctx context.Context, p *Plan, obs []Observation
 	if err != nil {
 		return nil, err
 	}
-	go s.runDiagnose(j, p, obsCopy, cfg)
+	// Route round ticks through the job (j.emit already invokes the
+	// submitter's callback synchronously).
+	cfg.progress = func(e Event) { j.emit(e) }
+	go s.run(j, func() error {
+		sg, hit, err := s.signaturesFor(j.ctx, p, cfg)
+		if err != nil {
+			return err
+		}
+		d, err := runDiagnosis(j.ctx, p, sg, cfg, obsCopy)
+		j.mu.Lock()
+		j.cacheHit, j.diag = hit, d
+		j.mu.Unlock()
+		return err
+	})
 	return j, nil
+}
+
+// run is the lifecycle of every campaign, verify and diagnose job: wait
+// for a worker slot (a cancel while queued is JobCanceled), mark the job
+// running, execute fn, and finish — done on nil, otherwise canceled or
+// failed by whether the job's own context ended.
+func (s *Service) run(j *Job, fn func() error) {
+	defer s.wg.Done()
+	if err := s.acquireSlot(j.ctx); err != nil {
+		j.finish(JobCanceled, fmt.Errorf("fpva: %v: %w", j.kind, err))
+		return
+	}
+	defer s.releaseSlot()
+	j.setRunning()
+	if err := fn(); err != nil {
+		j.finish(j.classifyTerminal(), err)
+		return
+	}
+	j.finish(JobDone, nil)
 }
 
 // signaturesFor returns the compiled signature table for (plan, cfg),
@@ -768,43 +789,6 @@ func (s *Service) signaturesFor(ctx context.Context, p *Plan, cfg diagnoseConfig
 	return sg, false, nil
 }
 
-// runDiagnose is a diagnosis job's goroutine.
-func (s *Service) runDiagnose(j *Job, p *Plan, obs []Observation, cfg diagnoseConfig) {
-	defer s.wg.Done()
-	if err := s.acquireSlot(j.ctx); err != nil {
-		j.finish(JobCanceled, fmt.Errorf("fpva: diagnose: %w", err))
-		return
-	}
-	defer s.releaseSlot()
-	j.setRunning()
-	t0 := time.Now()
-	sg, hit, err := s.signaturesFor(j.ctx, p, cfg)
-	if err != nil {
-		j.finish(j.classifyTerminal(), err)
-		return
-	}
-	j.mu.Lock()
-	j.cacheHit = hit
-	j.mu.Unlock()
-	// Route round ticks through the job (j.emit already invokes the
-	// submitter's callback synchronously).
-	cfg.progress = func(e Event) { j.emit(e) }
-	d, err := runDiagnosis(j.ctx, p, sg, cfg, obs)
-	wall := time.Since(t0)
-	if err != nil {
-		j.finish(j.classifyTerminal(), err)
-		return
-	}
-	j.mu.Lock()
-	j.diag = d
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.diagnoses++
-	s.diagnoseWall += wall
-	s.mu.Unlock()
-	j.finish(JobDone, nil)
-}
-
 // flight is one in-flight generation shared by every job that asked for
 // the same cache key (singleflight). Its context is canceled only when all
 // attached jobs have canceled, so one impatient caller cannot abort a
@@ -822,14 +806,13 @@ type flight struct {
 	events  []Event
 	running bool
 
-	done   chan struct{}
-	plan   *Plan
-	wire   []byte // v1 wire encoding of plan (caching services only)
-	cached bool   // served from the disk store, not a fresh solve
-	err    error
+	done     chan struct{}
+	res      wirePlan
+	fromDisk bool // served by the disk tier, not a fresh solve
+	err      error
 }
 
-// runGenerate is a generate job's goroutine: cache lookup, flight
+// runGenerate is a generate job's goroutine: memory lookup, flight
 // join-or-create, then wait for the shared result or the job's own
 // cancellation.
 func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
@@ -839,22 +822,11 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 		return
 	}
 	s.mu.Lock()
-	if s.cache != nil {
-		if plan, wire, events, ok := s.cache.get(key); ok {
-			s.hits++
-			s.mu.Unlock()
-			j.mu.Lock()
-			j.cacheHit = true
-			j.mu.Unlock()
-			j.setRunning()
-			// Replay the events the original solve recorded, so cached and
-			// cold callers observe the same progress sequence.
-			for _, e := range events {
-				j.emit(e)
-			}
-			j.finishPlan(plan, wire)
-			return
-		}
+	if hit, ok := s.cache.get(key); ok {
+		s.hits++
+		s.mu.Unlock()
+		j.serveHit(cfg, hit)
+		return
 	}
 	fl, ok := s.flights[key]
 	if ok {
@@ -891,25 +863,37 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 		fl.ctx, fl.cancel = context.WithCancel(context.Background())
 		s.flights[key] = fl
 		s.wg.Add(1)
-		go s.runFlight(fl, a, cfg, key)
+		go s.runFlight(fl, a, cfg)
 		s.mu.Unlock()
 	}
 	select {
 	case <-fl.done:
-		if fl.err != nil {
+		switch {
+		case fl.err != nil:
 			j.finish(j.classifyTerminal(), fl.err)
-		} else {
-			if fl.cached {
-				j.mu.Lock()
-				j.cacheHit = true
-				j.mu.Unlock()
-			}
-			j.finishPlan(fl.plan, fl.wire)
+		case fl.fromDisk:
+			j.serveHit(cfg, fl.res)
+		default:
+			j.finishPlan(fl.res)
 		}
 	case <-j.ctx.Done():
 		s.detach(fl, j)
 		j.finish(JobCanceled, fmt.Errorf("fpva: generate: %w", j.ctx.Err()))
 	}
+}
+
+// serveHit completes a generate job from either tier of the plan lookup:
+// the job runs, replays the phase events a solve under cfg emits, and
+// finishes with the cached plan.
+func (j *Job) serveHit(cfg genConfig, hit wirePlan) {
+	j.mu.Lock()
+	j.cacheHit = true
+	j.mu.Unlock()
+	j.setRunning()
+	for _, e := range phaseEvents(cfg) {
+		j.emit(e)
+	}
+	j.finishPlan(hit)
 }
 
 // detach removes a canceled job from its flight; the last one out cancels
@@ -934,49 +918,36 @@ func (s *Service) detach(fl *flight, j *Job) {
 	}
 }
 
-// runFlight executes one deduplicated generation: acquire a worker slot,
-// run the pipeline with progress fanned out to every attached job, store
-// the plan in the cache, and publish the result.
-func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
+// runFlight executes one deduplicated generation: the disk tier first,
+// then on a miss a solve whose plan is written through both tiers before
+// the result is published to the attached jobs.
+func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig) {
 	defer s.wg.Done()
 	defer fl.cancel()
-	finish := func(plan *Plan, err error) {
-		s.mu.Lock()
-		// Guard against unpublishing a successor: detach may already have
-		// removed this flight and a new submission registered a fresh one
-		// under the same key.
-		if s.flights[key] == fl {
-			delete(s.flights, key)
-		}
-		s.mu.Unlock()
-		fl.plan, fl.err = plan, err
-		close(fl.done)
-	}
-	// Durable cache read-back: a plan solved before the last restart (or
-	// evicted from memory under pressure) is served from disk —
-	// checksum-verified, bit-identical wire bytes, no solver slot
-	// consumed. Concurrent identical submissions coalesce onto this
-	// flight first, so the disk sees one read however many clients ask.
-	if s.store != nil {
-		if wire, ok := s.store.Get(key); ok {
-			if plan, derr := DecodePlan(bytes.NewReader(wire)); derr == nil {
-				s.mu.Lock()
-				if s.cache != nil {
-					s.cache.put(key, plan, wire, nil)
-				}
-				s.mu.Unlock()
-				fl.wire = wire
-				fl.cached = true
-				finish(plan, nil)
-				return
-			}
-			// Verified bytes that fail to decode mean codec drift, not disk
-			// corruption; solve fresh and overwrite the entry.
+	res, ok := s.loadPlan(fl.key)
+	var err error
+	if !ok {
+		if res, err = s.solve(fl, a, cfg); err == nil {
+			s.putPlan(fl.key, res)
 		}
 	}
+	s.mu.Lock()
+	// Guard against unpublishing a successor: detach may already have
+	// removed this flight and a new submission registered a fresh one
+	// under the same key.
+	if s.flights[fl.key] == fl {
+		delete(s.flights, fl.key)
+	}
+	s.mu.Unlock()
+	fl.res, fl.fromDisk, fl.err = res, ok, err
+	close(fl.done)
+}
+
+// solve runs one generation on a worker slot — in-process, or on the
+// subprocess pool — with progress fanned out to every attached job.
+func (s *Service) solve(fl *flight, a *Array, cfg genConfig) (wirePlan, error) {
 	if err := s.acquireSlot(fl.ctx); err != nil {
-		finish(nil, fmt.Errorf("fpva: generate: %w", err))
-		return
+		return wirePlan{}, fmt.Errorf("fpva: generate: %w", err)
 	}
 	defer s.releaseSlot()
 	s.mu.Lock()
@@ -988,8 +959,7 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 	}
 	coreCfg, err := cfg.coreConfig()
 	if err != nil {
-		finish(nil, err)
-		return
+		return wirePlan{}, err
 	}
 	sctx := fl.ctx
 	if s.solverTimeout > 0 {
@@ -998,14 +968,12 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 		defer cancel()
 	}
 	t0 := time.Now()
-	var plan *Plan
+	var res wirePlan
 	if s.pool != nil {
 		// Subprocess executor: the solve runs in a supervised worker; its
-		// response IS the plan's wire encoding, kept verbatim in fl.wire.
-		plan, err = s.solveSubprocess(sctx, fl, a, cfg)
-		if err != nil {
-			finish(nil, err)
-			return
+		// response IS the plan's wire encoding, kept verbatim.
+		if res, err = s.solveSubprocess(sctx, fl, a, cfg); err != nil {
+			return wirePlan{}, err
 		}
 	} else {
 		coreCfg.OnPhase = func(ph core.Phase, done bool) {
@@ -1017,19 +985,18 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 		}
 		ts, genErr := core.Generate(sctx, a.g, coreCfg)
 		if genErr != nil {
-			finish(nil, genErr)
-			return
+			return wirePlan{}, genErr
 		}
-		plan = &Plan{a: a, ts: ts, geometry: true}
+		res.plan = &Plan{a: a, ts: ts, geometry: true}
 		// Materialize the wire bytes once, outside the service lock — a large
 		// plan must not stall unrelated submissions and stats. These exact
 		// bytes back every later fetch: the cache entry, the disk store,
 		// Job.PlanBytes, and fpvad's /plan handler all serve them without
 		// re-encoding.
-		if s.cache != nil || s.store != nil {
+		if s.cache.capCost > 0 || s.store != nil {
 			var buf bytes.Buffer
-			if encErr := EncodePlan(&buf, plan); encErr == nil {
-				fl.wire = buf.Bytes()
+			if EncodePlan(&buf, res.plan) == nil {
+				res.wire = buf.Bytes()
 			}
 		}
 	}
@@ -1037,16 +1004,8 @@ func (s *Service) runFlight(fl *flight, a *Array, cfg genConfig, key string) {
 	s.mu.Lock()
 	s.solves++
 	s.solverWall += wall
-	if s.cache != nil && fl.wire != nil {
-		s.cache.put(key, plan, fl.wire, append([]Event(nil), fl.events...))
-	}
 	s.mu.Unlock()
-	// Write-through outside the service lock: disk latency (or a store
-	// stuck probing a sick disk) must not stall submissions and stats.
-	if s.store != nil && fl.wire != nil {
-		s.store.Put(key, fl.wire)
-	}
-	finish(plan, nil)
+	return res, nil
 }
 
 // emit records a flight event and fans it out to the currently attached
@@ -1060,60 +1019,4 @@ func (fl *flight) emit(s *Service, e Event) {
 	for _, j := range subs {
 		j.emit(e)
 	}
-}
-
-// runCampaign is a campaign job's goroutine.
-func (s *Service) runCampaign(j *Job, p *Plan, opts []CampaignOption) {
-	defer s.wg.Done()
-	if err := s.acquireSlot(j.ctx); err != nil {
-		j.finish(JobCanceled, fmt.Errorf("fpva: campaign: %w", err))
-		return
-	}
-	defer s.releaseSlot()
-	j.setRunning()
-	all := append(append([]CampaignOption(nil), opts...),
-		WithCampaignProgress(func(e Event) { j.emit(e) }))
-	t0 := time.Now()
-	res, err := p.Campaign(j.ctx, all...)
-	wall := time.Since(t0)
-	j.mu.Lock()
-	j.camp = res
-	j.mu.Unlock()
-	if err != nil {
-		j.finish(j.classifyTerminal(), err)
-		return
-	}
-	s.mu.Lock()
-	s.campaigns++
-	s.campaignWall += wall
-	s.mu.Unlock()
-	j.finish(JobDone, nil)
-}
-
-// runVerify is a verification job's goroutine.
-func (s *Service) runVerify(j *Job, p *Plan, maxPairs int) {
-	defer s.wg.Done()
-	if err := s.acquireSlot(j.ctx); err != nil {
-		j.finish(JobCanceled, fmt.Errorf("fpva: verify: %w", err))
-		return
-	}
-	defer s.releaseSlot()
-	j.setRunning()
-	singles, err := p.VerifySingleFaults(j.ctx)
-	if err != nil {
-		j.finish(j.classifyTerminal(), err)
-		return
-	}
-	pairs, err := p.VerifyDoubleFaults(j.ctx, maxPairs)
-	if err != nil {
-		j.finish(j.classifyTerminal(), err)
-		return
-	}
-	j.mu.Lock()
-	j.verify = VerifyResult{SingleEscapes: singles, DoubleEscapes: pairs}
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.verifies++
-	s.mu.Unlock()
-	j.finish(JobDone, nil)
 }

@@ -471,8 +471,8 @@ func TestServiceCampaignAndVerifyJobs(t *testing.T) {
 		t.Errorf("verify escapes: %+v", vres)
 	}
 	st := svc.Stats()
-	if st.Campaigns != 1 || st.Verifies != 1 {
-		t.Errorf("campaigns=%d verifies=%d, want 1/1", st.Campaigns, st.Verifies)
+	if c, v := st.Kinds["campaign"], st.Kinds["verify"]; c.Done != 1 || v.Done != 1 || c.Wall <= 0 || v.Wall <= 0 {
+		t.Errorf("campaign %+v, verify %+v: want 1 done each with wall time", c, v)
 	}
 }
 

@@ -94,7 +94,9 @@ type Stats struct {
 	// counts the supervisor-initiated subset (deadline escalation,
 	// missed pings, RSS limit, protocol violations).
 	Spawns, Restarts, Kills int
-	// JobsDone / JobsFailed count completed dispatches.
+	// JobsDone / JobsFailed count completed dispatches. A slot books a
+	// job — and the worker death it caused — before delivering its
+	// result, so by the time Do returns a slot's answer, Stats counts it.
 	JobsDone, JobsFailed int
 }
 
@@ -252,7 +254,7 @@ func (p *Pool) slot(id int) {
 			return
 		case j := <-p.queue:
 			if err := j.ctx.Err(); err != nil {
-				j.resp <- jobResult{err: err}
+				p.finishJob(id, j, nil, err, false)
 				continue
 			}
 			if w == nil {
@@ -261,17 +263,16 @@ func (p *Pool) slot(id int) {
 				if err != nil {
 					// The spawn failure fails this one job; the next
 					// dispatch retries (after the grown backoff).
-					p.finishJob(j, nil, err)
+					p.finishJob(id, j, nil, err, false)
 					continue
 				}
 			}
 			payload, err, dead := p.runJob(id, w, j)
-			p.finishJob(j, payload, err)
+			p.finishJob(id, j, payload, err, dead)
 			if dead {
 				// Crash or kill mid-job: the next spawn on this slot backs
 				// off, so a worker that dies instantly on every job cannot
 				// turn the pool into a fork bomb.
-				p.noteDeath(id)
 				w = nil
 				backoff = min(backoff*2, p.cfg.BackoffMax)
 			} else {
@@ -324,12 +325,13 @@ func (p *Pool) slot(id int) {
 	}
 }
 
-// finishJob delivers one job's outcome (the response channel is
-// buffered, so the slot never blocks) and accounts it.
+// finishJob accounts one job's outcome — and, when dead, the death of the
+// worker that ran it — then delivers it (the response channel is
+// buffered, so the slot never blocks). Accounting first means Stats
+// already counts every result a Do caller holds.
 //
 //fpva:allocfree
-func (p *Pool) finishJob(j *poolJob, payload []byte, err error) {
-	j.resp <- jobResult{payload: payload, err: err}
+func (p *Pool) finishJob(id int, j *poolJob, payload []byte, err error, dead bool) {
 	p.mu.Lock()
 	if err != nil {
 		p.stats.JobsFailed++
@@ -337,6 +339,10 @@ func (p *Pool) finishJob(j *poolJob, payload []byte, err error) {
 		p.stats.JobsDone++
 	}
 	p.mu.Unlock()
+	if dead {
+		p.noteDeath(id)
+	}
+	j.resp <- jobResult{payload: payload, err: err}
 }
 
 // noteDeath records a worker death the pool will recover from.

@@ -224,6 +224,40 @@ func TestCrashMidJobFailsOnlyThatJob(t *testing.T) {
 	}
 }
 
+// TestStatsCountEveryReturnedResult pins the accounting invariant: the
+// moment Do returns a slot's answer, Stats already counts that job — and,
+// after a crash, the worker restart — with no settling delay.
+func TestStatsCountEveryReturnedResult(t *testing.T) {
+	for _, tc := range []struct {
+		mode             string
+		failed, restarts bool
+	}{
+		{"echo", false, false},
+		{"fail", true, false},
+		{"crash", true, true},
+	} {
+		p := childPool(t, tc.mode, nil)
+		for i := 1; i <= 4; i++ {
+			_, err := p.Do(context.Background(), []byte("x"), nil)
+			if (err != nil) != tc.failed {
+				t.Fatalf("%s job %d: err = %v", tc.mode, i, err)
+			}
+			st := p.Stats()
+			done, failed, restarts := i, 0, 0
+			if tc.failed {
+				done, failed = 0, i
+			}
+			if tc.restarts {
+				restarts = i
+			}
+			if st.JobsDone != done || st.JobsFailed != failed || st.Restarts != restarts {
+				t.Fatalf("%s after job %d returned: stats = %+v, want done=%d failed=%d restarts=%d",
+					tc.mode, i, st, done, failed, restarts)
+			}
+		}
+	}
+}
+
 func TestKill9MidSolveFailsOneJobAndRestarts(t *testing.T) {
 	p := childPool(t, "slow", nil)
 	done := make(chan error, 1)

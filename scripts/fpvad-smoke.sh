@@ -147,8 +147,7 @@ echo "== closed-loop diagnosis study via fpvasim -diagnose"
 
 echo "== service stats"
 curl -fsS "$base/v1/stats" | tee "$tmp/stats.json" | grep -q '"solves": 1'
-grep -q '"diagnoses": 1' "$tmp/stats.json"
-grep -q '"diagnose"' "$tmp/stats.json"
+tr -d ' \n' <"$tmp/stats.json" | grep -q '"diagnose":{[^}]*"done":1[,}]'
 
 echo "== subprocess solver mode: same request, byte-identical plan"
 # A second daemon whose solves run in fpvaworker subprocesses. The plan it
