@@ -366,7 +366,7 @@ func TestHealthzDegradedStore(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Store == nil || st.Store.Mode != "degraded" {
+	if st.Store.Mode != "degraded" {
 		t.Errorf("stats store = %+v", st.Store)
 	}
 }

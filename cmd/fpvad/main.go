@@ -430,48 +430,9 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {
-	st := s.svc.Stats()
-	authFailures, rateLimited := s.adm.counters()
-	out := api.ServiceStats{
-		JobsSubmitted: st.JobsSubmitted,
-		JobsPending:   st.JobsPending, JobsRunning: st.JobsRunning,
-		JobsDone: st.JobsDone, JobsFailed: st.JobsFailed, JobsCanceled: st.JobsCanceled,
-		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses, CacheCoalesced: st.CacheCoalesced,
-		CacheEntries: st.CacheEntries, CacheBytes: st.CacheBytes, CacheCapBytes: st.CacheCapBytes,
-		Solves: st.Solves, SolverWallNs: st.SolverWall.Nanoseconds(),
-		SigCacheHits: st.SigCacheHits, SigCacheMisses: st.SigCacheMisses,
-		SolverExecutor: st.SolverExecutor,
-		WorkerSlots:    st.WorkerSlots, WorkersAlive: st.WorkersAlive, WorkersBusy: st.WorkersBusy,
-		WorkerSpawns: st.WorkerSpawns, WorkerRestarts: st.WorkerRestarts, WorkerKills: st.WorkerKills,
-		JobsShed:     st.JobsShed,
-		AuthFailures: authFailures, RateLimited: rateLimited,
-		Kinds: kindStats(st.Kinds),
-	}
-	if st.Store.Mode != "" {
-		out.Store = &api.StoreStats{
-			Mode: st.Store.Mode, Reason: st.Store.Reason,
-			Entries: st.Store.Entries, Bytes: st.Store.Bytes, CapBytes: st.Store.CapBytes,
-			Hits: st.Store.Hits, Misses: st.Store.Misses,
-			Writes: st.Store.Writes, WriteErrors: st.Store.WriteErrors,
-			SkippedWrites: st.Store.SkippedWrites, ReadErrors: st.Store.ReadErrors,
-			Quarantined: st.Store.Quarantined, Evictions: st.Store.Evictions,
-			Trips: st.Store.Trips, Recoveries: st.Store.Recoveries,
-		}
-	}
+	out := api.ServiceStats{ServiceStats: s.svc.Stats()}
+	out.AuthFailures, out.RateLimited = s.adm.counters()
 	writeJSON(w, http.StatusOK, out)
-}
-
-// kindStats converts the per-kind tallies onto their wire mirror.
-func kindStats(in map[string]fpva.JobKindStats) map[string]api.KindStats {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make(map[string]api.KindStats, len(in))
-	for k, v := range in {
-		out[k] = api.KindStats{Submitted: v.Submitted, Done: v.Done, Failed: v.Failed, Canceled: v.Canceled,
-			WallNs: v.Wall.Nanoseconds()}
-	}
-	return out
 }
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
@@ -689,7 +650,9 @@ func (s *server) delete(w http.ResponseWriter, r *http.Request) {
 
 // events streams the job's progress as NDJSON: every recorded event from
 // the start (so late watchers replay history), live events as they happen,
-// and a terminal status line once the job finishes.
+// and a terminal status line once the job finishes. Lines are flushed only
+// when no further event is ready, so a replayed history goes out in one
+// write and a finished job's whole stream in one flush.
 func (s *server) events(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
 	if !ok {
@@ -697,23 +660,30 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
-	for e := range j.Stream(r.Context()) {
+	stream := j.Stream(r.Context())
+	for {
+		var e fpva.Event
+		var open bool
+		select {
+		case e, open = <-stream:
+		default:
+			rc.Flush() // nothing ready: send what is buffered before blocking
+			e, open = <-stream
+		}
+		if !open {
+			break
+		}
 		if enc.Encode(api.EventStatus(e)) != nil {
 			return // client went away
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 	}
 	if r.Context().Err() != nil {
 		return
 	}
 	enc.Encode(api.JobStatus(j))
-	if flusher != nil {
-		flusher.Flush()
-	}
+	rc.Flush()
 }
 
 // notDone writes the appropriate error for a job whose result is not

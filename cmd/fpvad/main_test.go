@@ -412,7 +412,7 @@ func TestDiagnoseJob(t *testing.T) {
 	if st.SigCacheMisses != 1 {
 		t.Errorf("diagnose stats %+v", st)
 	}
-	if ks := st.Kinds["diagnose"]; ks.Submitted != 1 || ks.Done != 1 || ks.WallNs <= 0 {
+	if ks := st.Kinds["diagnose"]; ks.Submitted != 1 || ks.Done != 1 || ks.Wall <= 0 {
 		t.Errorf("per-kind stats %+v", st.Kinds)
 	}
 

@@ -164,58 +164,13 @@ type VerifyReport struct {
 	DoubleEscapes [][2]Fault `json:"doubleEscapes"`
 }
 
-// ServiceStats mirrors fpva.ServiceStats with wire-style field names
-// (durations in nanoseconds).
+// ServiceStats is the GET /v1/stats body: the service's own counters
+// (whose JSON tags are the wire names) plus the daemon's admission
+// counters.
 type ServiceStats struct {
-	JobsSubmitted  int                  `json:"jobsSubmitted"`
-	JobsPending    int                  `json:"jobsPending"`
-	JobsRunning    int                  `json:"jobsRunning"`
-	JobsDone       int                  `json:"jobsDone"`
-	JobsFailed     int                  `json:"jobsFailed"`
-	JobsCanceled   int                  `json:"jobsCanceled"`
-	CacheHits      int                  `json:"cacheHits"`
-	CacheMisses    int                  `json:"cacheMisses"`
-	CacheCoalesced int                  `json:"cacheCoalesced"`
-	CacheEntries   int                  `json:"cacheEntries"`
-	CacheBytes     int64                `json:"cacheBytes"`
-	CacheCapBytes  int64                `json:"cacheCapBytes"`
-	Solves         int                  `json:"solves"`
-	SolverWallNs   int64                `json:"solverWallNs"`
-	SigCacheHits   int                  `json:"sigCacheHits"`
-	SigCacheMisses int                  `json:"sigCacheMisses"`
-	SolverExecutor string               `json:"solverExecutor,omitempty"`
-	WorkerSlots    int                  `json:"workerSlots,omitempty"`
-	WorkersAlive   int                  `json:"workersAlive,omitempty"`
-	WorkersBusy    int                  `json:"workersBusy,omitempty"`
-	WorkerSpawns   int                  `json:"workerSpawns,omitempty"`
-	WorkerRestarts int                  `json:"workerRestarts,omitempty"`
-	WorkerKills    int                  `json:"workerKills,omitempty"`
-	JobsShed       int                  `json:"jobsShed"`
-	AuthFailures   int                  `json:"authFailures"`
-	RateLimited    int                  `json:"rateLimited"`
-	Store          *StoreStats          `json:"store,omitempty"`
-	Kinds          map[string]KindStats `json:"kinds,omitempty"`
-}
-
-// StoreStats mirrors fpva.ServiceStats.Store: the durable plan store's
-// mode and counters. Absent from /v1/stats when the daemon runs
-// without -cache-dir.
-type StoreStats struct {
-	Mode          string `json:"mode"` // "ok" | "degraded"
-	Reason        string `json:"reason,omitempty"`
-	Entries       int    `json:"entries"`
-	Bytes         int64  `json:"bytes"`
-	CapBytes      int64  `json:"capBytes"`
-	Hits          int    `json:"hits"`
-	Misses        int    `json:"misses"`
-	Writes        int    `json:"writes"`
-	WriteErrors   int    `json:"writeErrors"`
-	SkippedWrites int    `json:"skippedWrites"`
-	ReadErrors    int    `json:"readErrors"`
-	Quarantined   int    `json:"quarantined"`
-	Evictions     int    `json:"evictions"`
-	Trips         int    `json:"trips"`
-	Recoveries    int    `json:"recoveries"`
+	fpva.ServiceStats
+	AuthFailures int `json:"authFailures"`
+	RateLimited  int `json:"rateLimited"`
 }
 
 // Health is the GET /healthz body. Status is "ok" or "degraded"; both
@@ -243,14 +198,4 @@ type HealthWorkers struct {
 	Executor string `json:"executor"`
 	Alive    int    `json:"alive,omitempty"`
 	Busy     int    `json:"busy,omitempty"`
-}
-
-// KindStats is the per-JobKind submission/terminal tally; WallNs sums
-// the running time of the done jobs.
-type KindStats struct {
-	Submitted int   `json:"submitted"`
-	Done      int   `json:"done"`
-	Failed    int   `json:"failed"`
-	Canceled  int   `json:"canceled"`
-	WallNs    int64 `json:"wallNs"`
 }

@@ -2,6 +2,7 @@ package fpva_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -109,6 +110,37 @@ func TestGenerateAndVerify(t *testing.T) {
 	}
 	if len(pairs) != 0 {
 		t.Errorf("double-fault escapes: %v", pairs)
+	}
+}
+
+// TestNoRouteArrayEveryPathEngine: on an array whose source is walled off
+// from its sink, every path engine returns what the default engine does —
+// no vectors, with every Normal valve reported uncovered — instead of an
+// ILP engine failing with an infeasible model.
+func TestNoRouteArrayEveryPathEngine(t *testing.T) {
+	a := mustArray(t, 4, 3, fpva.WithObstacle(0, 1), fpva.WithObstacle(1, 0))
+	want := mustGenerate(t, a)
+	if want.NumVectors() != 0 || len(want.UncoveredPath()) != 11 || len(want.UncoveredCut()) != 11 {
+		t.Fatalf("default engine: N=%d, uncovered path %v, cut %v; want 0 and all 11 valves",
+			want.NumVectors(), want.UncoveredPath(), want.UncoveredCut())
+	}
+	for _, name := range []string{"auto", "serpentine", "ilp-iterative", "ilp-monolithic"} {
+		t.Run(name, func(t *testing.T) {
+			eng, err := fpva.ParsePathEngine(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := fpva.Generate(context.Background(), a, fpva.WithPathEngine(eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.NumVectors() != 0 ||
+				!reflect.DeepEqual(p.UncoveredPath(), want.UncoveredPath()) ||
+				!reflect.DeepEqual(p.UncoveredCut(), want.UncoveredCut()) {
+				t.Errorf("N=%d, uncovered path %v, cut %v; want the default engine's result",
+					p.NumVectors(), p.UncoveredPath(), p.UncoveredCut())
+			}
+		})
 	}
 }
 

@@ -203,13 +203,26 @@ func (j *Job) Events() []Event {
 
 // Stream returns a channel that replays every event from the start of the
 // job and then follows live ones; it is closed once the job is terminal
-// and all events have been delivered. Cancel ctx to stop early — the
-// stream goroutine blocks on an unread channel otherwise.
+// and all events have been delivered. The events recorded so far are
+// buffered before Stream returns (and a terminal job's channel is already
+// closed), so a consumer can tell when nothing more is ready. Cancel ctx
+// to stop early — the stream goroutine blocks on an unread channel
+// otherwise.
 func (j *Job) Stream(ctx context.Context) <-chan Event {
-	out := make(chan Event)
+	j.mu.Lock()
+	next := len(j.events)
+	out := make(chan Event, next)
+	for _, e := range j.events {
+		out <- e
+	}
+	terminal := j.state.Terminal()
+	j.mu.Unlock()
+	if terminal {
+		close(out)
+		return out
+	}
 	go func() {
 		defer close(out)
-		next := 0
 		for {
 			j.mu.Lock()
 			events := j.events[next:]

@@ -67,14 +67,9 @@ type Service struct {
 	retain int // terminal-job retention cap; <= 0 keeps all
 
 	// counters (guarded by mu)
-	active                  int // non-terminal jobs, for admission control
-	shed                    int // submissions rejected with ErrQueueFull
-	submitted               int
-	hits, misses, coalesced int
-	solves                  int
-	solverWall              time.Duration
-	sigHits, sigMisses      int
-	byKind                  [JobDiagnose + 1]JobKindStats
+	active int          // non-terminal jobs, for admission control
+	st     ServiceStats // counters only; Stats fills the rest
+	byKind [JobDiagnose + 1]JobKindStats
 
 	wg sync.WaitGroup
 }
@@ -275,52 +270,39 @@ func DefaultService() *Service {
 	return defaultService.s
 }
 
-// ServiceStats is a point-in-time snapshot of a service's counters.
+// ServiceStats is a point-in-time snapshot of a service's counters. The
+// JSON tags are its wire names: fpvad serves this record as /v1/stats.
 type ServiceStats struct {
 	// JobsSubmitted counts every accepted submission over the service's
 	// lifetime; the per-state fields partition the currently retained jobs
 	// (see WithJobRetention) by state.
-	JobsSubmitted int
-	JobsPending   int
-	JobsRunning   int
-	JobsDone      int
-	JobsFailed    int
-	JobsCanceled  int
+	JobsSubmitted int `json:"jobsSubmitted"`
+	JobsPending   int `json:"jobsPending"`
+	JobsRunning   int `json:"jobsRunning"`
+	JobsDone      int `json:"jobsDone"`
+	JobsFailed    int `json:"jobsFailed"`
+	JobsCanceled  int `json:"jobsCanceled"`
 
 	// CacheHits / CacheMisses count completed-plan lookups; CacheCoalesced
 	// counts generate jobs that attached to an in-flight identical solve
 	// (the singleflight path). CacheEntries/CacheBytes describe current
 	// occupancy against CacheCapBytes.
-	CacheHits      int
-	CacheMisses    int
-	CacheCoalesced int
-	CacheEntries   int
-	CacheBytes     int64
-	CacheCapBytes  int64
+	CacheHits      int   `json:"cacheHits"`
+	CacheMisses    int   `json:"cacheMisses"`
+	CacheCoalesced int   `json:"cacheCoalesced"`
+	CacheEntries   int   `json:"cacheEntries"`
+	CacheBytes     int64 `json:"cacheBytes"`
+	CacheCapBytes  int64 `json:"cacheCapBytes"`
 
 	// Solves counts generation pipelines actually executed (cache misses
 	// that ran to completion); SolverWall is their cumulative wall time.
-	Solves     int
-	SolverWall time.Duration
+	Solves     int           `json:"solves"`
+	SolverWall time.Duration `json:"solverWallNs"`
 
 	// SigCacheHits / SigCacheMisses count diagnosis signature-table
 	// lookups: a hit skips recompiling the candidate response matrix.
-	SigCacheHits   int
-	SigCacheMisses int
-
-	// JobsShed counts submissions rejected with ErrQueueFull by the
-	// WithMaxPending admission bound.
-	JobsShed int
-
-	// Store describes the durable plan store (WithCacheDir); its Mode is
-	// "" when no cache directory is configured.
-	Store StoreStats
-
-	// Kinds is the per-kind job accounting, keyed by kind name
-	// ("generate", "campaign", "verify", "diagnose"; a kind appears once
-	// it has a submission). It already counts every job whose Wait has
-	// returned.
-	Kinds map[string]JobKindStats
+	SigCacheHits   int `json:"sigCacheHits"`
+	SigCacheMisses int `json:"sigCacheMisses"`
 
 	// SolverExecutor names where generate solves run ("in-process" or
 	// "subprocess"). The Worker* fields describe the subprocess pool and
@@ -329,56 +311,47 @@ type ServiceStats struct {
 	// WorkerRestarts counts crashes and kills recovered from, and
 	// WorkerKills the supervisor-initiated subset (deadline escalation,
 	// missed pings, memory limit, protocol violations).
-	SolverExecutor string
-	WorkerSlots    int
-	WorkersAlive   int
-	WorkersBusy    int
-	WorkerSpawns   int
-	WorkerRestarts int
-	WorkerKills    int
+	SolverExecutor string `json:"solverExecutor,omitempty"`
+	WorkerSlots    int    `json:"workerSlots,omitempty"`
+	WorkersAlive   int    `json:"workersAlive,omitempty"`
+	WorkersBusy    int    `json:"workersBusy,omitempty"`
+	WorkerSpawns   int    `json:"workerSpawns,omitempty"`
+	WorkerRestarts int    `json:"workerRestarts,omitempty"`
+	WorkerKills    int    `json:"workerKills,omitempty"`
+
+	// JobsShed counts submissions rejected with ErrQueueFull by the
+	// WithMaxPending admission bound.
+	JobsShed int `json:"jobsShed"`
+
+	// Store describes the durable plan store (WithCacheDir); it is zero,
+	// and absent from the wire, when no cache directory is configured.
+	Store StoreStats `json:"store,omitzero"`
+
+	// Kinds is the per-kind job accounting, keyed by kind name
+	// ("generate", "campaign", "verify", "diagnose"; a kind appears once
+	// it has a submission). It already counts every job whose Wait has
+	// returned.
+	Kinds map[string]JobKindStats `json:"kinds,omitempty"`
 }
 
-// StoreStats is the public snapshot of the durable plan store behind
+// StoreStats is the snapshot of the durable plan store behind
 // WithCacheDir. Mode is "" when the service has no disk store, "ok"
 // when the store is healthy, and "degraded" (with Reason set) while it
-// runs memory-only after disk trouble.
-type StoreStats struct {
-	Mode   string
-	Reason string
-
-	Entries  int
-	Bytes    int64
-	CapBytes int64
-
-	// Hits / Misses count disk lookups on memory-cache misses: a hit
-	// served a restarted (or memory-evicted) plan without re-solving.
-	Hits   int
-	Misses int
-
-	Writes        int
-	WriteErrors   int
-	SkippedWrites int
-
-	ReadErrors  int
-	Quarantined int
-	Evictions   int
-
-	// Trips / Recoveries count transitions into and out of degraded
-	// memory-only mode.
-	Trips      int
-	Recoveries int
-}
+// runs memory-only after disk trouble. Store Hits / Misses count disk
+// lookups on memory-cache misses: a hit served a restarted (or
+// memory-evicted) plan without re-solving.
+type StoreStats = store.Stats
 
 // JobKindStats is the lifetime job accounting of one JobKind. Submitted
 // counts acceptances; Done / Failed / Canceled count terminal transitions,
 // so their sum can trail Submitted by the jobs still in flight. Wall sums
 // the running time (start to finish) of the Done jobs.
 type JobKindStats struct {
-	Submitted int
-	Done      int
-	Failed    int
-	Canceled  int
-	Wall      time.Duration
+	Submitted int           `json:"submitted"`
+	Done      int           `json:"done"`
+	Failed    int           `json:"failed"`
+	Canceled  int           `json:"canceled"`
+	Wall      time.Duration `json:"wallNs"`
 }
 
 // Stats returns a snapshot of the service counters.
@@ -386,30 +359,17 @@ func (s *Service) Stats() ServiceStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sweepExpiredLocked()
-	st := ServiceStats{
-		JobsSubmitted: s.submitted,
-		JobsShed:      s.shed,
-		CacheHits:     s.hits, CacheMisses: s.misses, CacheCoalesced: s.coalesced,
-		Solves: s.solves, SolverWall: s.solverWall,
-		SigCacheHits: s.sigHits, SigCacheMisses: s.sigMisses,
-		CacheEntries: s.cache.len(), CacheBytes: s.cache.total, CacheCapBytes: s.cache.capCost,
-		Kinds: make(map[string]JobKindStats, len(s.byKind)),
-	}
+	st := s.st
+	st.CacheEntries, st.CacheBytes, st.CacheCapBytes = s.cache.len(), s.cache.total, s.cache.capCost
+	st.Kinds = make(map[string]JobKindStats, len(s.byKind))
 	for k, ks := range s.byKind {
 		if ks.Submitted > 0 {
+			st.JobsSubmitted += ks.Submitted
 			st.Kinds[JobKind(k).String()] = ks
 		}
 	}
 	if s.store != nil {
-		ss := s.store.Stats()
-		st.Store = StoreStats{
-			Mode: ss.Mode, Reason: ss.Reason,
-			Entries: ss.Entries, Bytes: ss.Bytes, CapBytes: ss.CapBytes,
-			Hits: ss.Hits, Misses: ss.Misses,
-			Writes: ss.Writes, WriteErrors: ss.WriteErrors, SkippedWrites: ss.SkippedWrites,
-			ReadErrors: ss.ReadErrors, Quarantined: ss.Quarantined, Evictions: ss.Evictions,
-			Trips: ss.Trips, Recoveries: ss.Recoveries,
-		}
+		st.Store = s.store.Stats()
 	}
 	st.SolverExecutor = s.executor.String()
 	if s.pool != nil {
@@ -524,7 +484,7 @@ func (s *Service) register(kind JobKind, ctx context.Context, progress Progress,
 	}
 	s.sweepExpiredLocked()
 	if s.maxActive > 0 && s.active >= s.maxActive {
-		s.shed++
+		s.st.JobsShed++
 		return nil, fmt.Errorf("fpva: %d jobs already queued or running: %w", s.active, ErrQueueFull)
 	}
 	s.active++
@@ -533,7 +493,6 @@ func (s *Service) register(kind JobKind, ctx context.Context, progress Progress,
 	j.inPlan = inPlan
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	s.submitted++
 	s.byKind[kind].Submitted++
 	s.wg.Add(1)
 	return j, nil
@@ -773,11 +732,11 @@ func (s *Service) signaturesFor(ctx context.Context, p *Plan, cfg diagnoseConfig
 	}
 	s.mu.Lock()
 	if sg, ok := s.sigs.get(key); ok {
-		s.sigHits++
+		s.st.SigCacheHits++
 		s.mu.Unlock()
 		return sg, true, nil
 	}
-	s.sigMisses++
+	s.st.SigCacheMisses++
 	s.mu.Unlock()
 	sg, err = p.compileSignatures(ctx, cfg)
 	if err != nil {
@@ -823,14 +782,14 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 	}
 	s.mu.Lock()
 	if hit, ok := s.cache.get(key); ok {
-		s.hits++
+		s.st.CacheHits++
 		s.mu.Unlock()
 		j.serveHit(cfg, hit)
 		return
 	}
 	fl, ok := s.flights[key]
 	if ok {
-		s.coalesced++
+		s.st.CacheCoalesced++
 		fl.refs++
 		// Catch-up handoff: replay recorded events outside the lock, then
 		// join the live subscriber list only once caught up — the flight
@@ -857,7 +816,7 @@ func (s *Service) runGenerate(j *Job, a *Array, cfg genConfig, key string) {
 			s.mu.Lock()
 		}
 	} else {
-		s.misses++
+		s.st.CacheMisses++
 		fl = &flight{key: key, refs: 1, subs: []*Job{j}, done: make(chan struct{})}
 		//lint:ignore fpva/ctxflow a flight is shared by every coalesced submitter, so its lifetime must detach from any one caller's ctx; Close cancels it
 		fl.ctx, fl.cancel = context.WithCancel(context.Background())
@@ -1002,8 +961,8 @@ func (s *Service) solve(fl *flight, a *Array, cfg genConfig) (wirePlan, error) {
 	}
 	wall := time.Since(t0)
 	s.mu.Lock()
-	s.solves++
-	s.solverWall += wall
+	s.st.Solves++
+	s.st.SolverWall += wall
 	s.mu.Unlock()
 	return res, nil
 }

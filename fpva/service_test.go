@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -473,6 +474,60 @@ func TestServiceCampaignAndVerifyJobs(t *testing.T) {
 	st := svc.Stats()
 	if c, v := st.Kinds["campaign"], st.Kinds["verify"]; c.Done != 1 || v.Done != 1 || c.Wall <= 0 || v.Wall <= 0 {
 		t.Errorf("campaign %+v, verify %+v: want 1 done each with wall time", c, v)
+	}
+}
+
+// TestStreamSubscribersSeeWholeHistory: streams opened at any point of a
+// job's life — before its first event, between live events, after it
+// finished — each deliver exactly the job's full event sequence, in order.
+func TestStreamSubscribersSeeWholeHistory(t *testing.T) {
+	svc := fpva.NewService()
+	defer svc.Close()
+	a, err := fpva.BenchmarkArray("5x5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fpva.Generate(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := svc.SubmitCampaign(context.Background(), plan, fpva.WithTrials(4000), fpva.WithNumFaults(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		seen [][]fpva.Event
+	)
+	var follow func(spawn bool)
+	follow = func(spawn bool) {
+		defer wg.Done()
+		var got []fpva.Event
+		for e := range camp.Stream(context.Background()) {
+			got = append(got, e)
+			if spawn && len(got)%2 == 1 { // open another stream mid-job
+				wg.Add(1)
+				go follow(false)
+			}
+		}
+		mu.Lock()
+		seen = append(seen, got)
+		mu.Unlock()
+	}
+	wg.Add(1)
+	go follow(true)
+	wg.Wait()
+	wg.Add(1)
+	follow(false) // after the job finished
+	want := camp.Events()
+	if len(want) == 0 || len(seen) < 3 {
+		t.Fatalf("%d events, %d streams", len(want), len(seen))
+	}
+	for i, got := range seen {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("stream %d saw %d events, want the job's %d", i, len(got), len(want))
+		}
 	}
 }
 

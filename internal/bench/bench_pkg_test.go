@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,6 +22,42 @@ func TestTable1CasesValveCounts(t *testing.T) {
 		}
 		if err := a.Validate(); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
+		}
+	}
+}
+
+// TestTable1Pins pins the measured Table I row of every benchmark case —
+// the vector counts and the single faults the set fails to detect — so
+// any change to generation shows up here as a reviewed diff. The 30x30
+// escapes are the three stuck-at-1 faults on the valves the heuristic cut
+// engine leaves untestable (dense valve IDs; see ROADMAP.md).
+func TestTable1Pins(t *testing.T) {
+	want := map[string]struct {
+		np, nc, nl, n int
+		escapes       string
+	}{
+		"5x5":   {4, 10, 2, 16, "[]"},
+		"10x10": {8, 26, 9, 43, "[]"},
+		"15x15": {14, 37, 27, 78, "[]"},
+		"20x20": {17, 38, 43, 98, "[]"},
+		"30x30": {43, 120, 68, 231, "[stuck-at-1(422) stuck-at-1(1458) stuck-at-1(1486)]"},
+	}
+	for _, c := range Table1Cases() {
+		ts, err := Row(context.Background(), c)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		escaped, err := ts.VerifySingleFaults(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		w, s := want[c.Name], ts.Stats
+		if s.NP != w.np || s.NC != w.nc || s.NL != w.nl || s.N != w.n {
+			t.Errorf("%s: np/nc/nl/N = %d/%d/%d/%d, pinned %d/%d/%d/%d",
+				c.Name, s.NP, s.NC, s.NL, s.N, w.np, w.nc, w.nl, w.n)
+		}
+		if got := fmt.Sprint(escaped); got != w.escapes {
+			t.Errorf("%s: single-fault escapes %s, pinned %s", c.Name, got, w.escapes)
 		}
 	}
 }

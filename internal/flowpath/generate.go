@@ -58,7 +58,9 @@ type Options struct {
 
 // Generate produces a flow-path set covering all Normal valves of the
 // array. Valves that no source-to-sink path can reach (walled in by
-// obstacles) are reported in Result.Uncovered. Cancelling ctx (nil means
+// obstacles) are reported in Result.Uncovered; on an array with no
+// source-to-sink route at all that is every Normal valve, whatever the
+// engine. Cancelling ctx (nil means
 // context.Background()) aborts the ILP engines between solver nodes and
 // returns ctx.Err().
 func Generate(ctx context.Context, a *grid.Array, opt Options) (*Result, error) {
@@ -71,15 +73,26 @@ func Generate(ctx context.Context, a *grid.Array, opt Options) (*Result, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	s, err := sim.New(a)
+	if err != nil {
+		return nil, err
+	}
+	// With every valve open, a dry sink means no source-to-sink route
+	// exists: no engine can build a path, and the patch pass below reports
+	// every Normal valve uncovered.
+	allOpen := sim.NewVector(a, sim.FlowPath, "all-open")
+	for _, id := range a.NormalValves() {
+		allOpen.SetOpen(id, true)
+	}
 	var paths []*Path
 	var stats ilp.Stats
-	var err error
-	switch opt.Engine {
-	case EngineAuto, EngineSerpentine:
+	switch {
+	case !s.SinkPressured(allOpen):
+	case opt.Engine == EngineAuto || opt.Engine == EngineSerpentine:
 		paths, err = serpentinePaths(a, opt.StripRows, opt.StripCols)
-	case EngineILPIterative:
+	case opt.Engine == EngineILPIterative:
 		paths, stats, err = ilpIterativePaths(ctx, a, opt.ILP)
-	case EngineILPMonolithic:
+	case opt.Engine == EngineILPMonolithic:
 		maxPaths := opt.MonolithicMaxPaths
 		if maxPaths <= 0 {
 			maxPaths = 8
@@ -88,10 +101,6 @@ func Generate(ctx context.Context, a *grid.Array, opt Options) (*Result, error) 
 	default:
 		return nil, fmt.Errorf("flowpath: unknown engine %v", opt.Engine)
 	}
-	if err != nil {
-		return nil, err
-	}
-	s, err := sim.New(a)
 	if err != nil {
 		return nil, err
 	}

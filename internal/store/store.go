@@ -53,41 +53,43 @@ type Options struct {
 	BackoffMin, BackoffMax time.Duration
 }
 
-// Stats is a point-in-time snapshot of the store's counters.
+// Stats is a point-in-time snapshot of the store's counters. The JSON
+// tags are its wire names: fpvad serves this record verbatim as the
+// "store" section of /v1/stats.
 type Stats struct {
 	// Mode is "ok" or "degraded"; Reason names the error that tripped a
 	// degraded store ("" otherwise).
-	Mode   string
-	Reason string
+	Mode   string `json:"mode"`
+	Reason string `json:"reason,omitempty"`
 
 	// Entries / Bytes / CapBytes describe current occupancy (payload
 	// bytes, excluding headers and journal).
-	Entries  int
-	Bytes    int64
-	CapBytes int64
+	Entries  int   `json:"entries"`
+	Bytes    int64 `json:"bytes"`
+	CapBytes int64 `json:"capBytes"`
 
 	// Hits / Misses count Get outcomes (a degraded Get is a miss).
-	Hits   int
-	Misses int
+	Hits   int `json:"hits"`
+	Misses int `json:"misses"`
 
 	// Writes counts entries durably stored; WriteErrors counts failed
 	// write attempts (each trips degraded mode); SkippedWrites counts
 	// Puts dropped while degraded between probes.
-	Writes        int
-	WriteErrors   int
-	SkippedWrites int
+	Writes        int `json:"writes"`
+	WriteErrors   int `json:"writeErrors"`
+	SkippedWrites int `json:"skippedWrites"`
 
 	// ReadErrors counts I/O failures reading an entry (these trip
 	// degraded mode); Quarantined counts torn or corrupt entries moved
 	// aside; Evictions counts LRU byte-budget evictions.
-	ReadErrors  int
-	Quarantined int
-	Evictions   int
+	ReadErrors  int `json:"readErrors"`
+	Quarantined int `json:"quarantined"`
+	Evictions   int `json:"evictions"`
 
 	// Trips / Recoveries count transitions into and out of degraded
 	// memory-only mode.
-	Trips      int
-	Recoveries int
+	Trips      int `json:"trips"`
+	Recoveries int `json:"recoveries"`
 }
 
 // entry is one resident key in the LRU index. pins counts in-flight
