@@ -70,13 +70,15 @@ bench-ci:
 		-benchtime 0.3s -benchmem -json . > /tmp/bench-ci.json
 	$(GO) run scripts/benchdiff.go -max-ns-regress 30 $(BENCH_OUT) /tmp/bench-ci.json
 
-# Short fuzz runs of the solver-stack and wire-codec fuzz targets; the
+# Short fuzz runs of the solver-stack, wire-codec and single-flip kernel
+# fuzz targets (the kernel is checked against one BFS per flip); the
 # committed corpus under testdata/fuzz always runs as part of `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolve -fuzztime 10s ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzModelSolve -fuzztime 10s ./internal/ilp
 	$(GO) test -run '^$$' -fuzz FuzzDecodePlan -fuzztime 10s ./fpva
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDiagnosis -fuzztime 10s ./fpva
+	$(GO) test -run '^$$' -fuzz FuzzSingleFlips -fuzztime 10s ./internal/sim
 
 # End-to-end daemon smoke: boot fpvad, submit a 4x4 generate job, stream
 # progress, fetch the plan, prove the upload round trip is bit-identical,

@@ -6,6 +6,7 @@ package repro
 //	BenchmarkFig8_*           Fig. 8    (direct vs hierarchical flow paths)
 //	BenchmarkFig9_Paths20x20  Fig. 9    (paths over the irregular 20x20)
 //	BenchmarkCampaign_*       Sec. IV   (random fault injection, 1..5 faults)
+//	BenchmarkCompile_*        compiling a Table I plan for campaigns
 //	BenchmarkBaseline_*       Sec. IV   (one-valve-at-a-time comparison)
 //	BenchmarkTwoFaultExhaustive  Sec. III guarantee (exhaustive pairs)
 //	BenchmarkDiagnose_*       adaptive fault diagnosis (signature compile
@@ -19,6 +20,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -36,12 +38,19 @@ func benchTable1(b *testing.B, name string) {
 		b.Fatal(err)
 	}
 	var ts *core.TestSet
+	var tp, tc, tl time.Duration
 	for i := 0; i < b.N; i++ {
 		ts, err = bench.Row(context.Background(), c)
 		if err != nil {
 			b.Fatal(err)
 		}
+		tp, tc, tl = tp+ts.Stats.TP, tc+ts.Stats.TC, tl+ts.Stats.TL
 	}
+	// The per-phase split of one generation, averaged over the iterations.
+	perOp := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+	b.ReportMetric(perOp(tp), "tp_ms")
+	b.ReportMetric(perOp(tc), "tc_ms")
+	b.ReportMetric(perOp(tl), "tl_ms")
 	b.ReportMetric(float64(ts.Stats.NP), "np")
 	b.ReportMetric(float64(ts.Stats.NC), "nc")
 	b.ReportMetric(float64(ts.Stats.NL), "nl")
@@ -206,6 +215,29 @@ func BenchmarkCampaign_5Faults_Compiled(b *testing.B) {
 	}
 	b.ReportMetric(res.DetectionRate(), "detection_rate")
 }
+
+// Compiling a Table I plan for campaigns and verification: fault-free
+// states, golden readings and the single-fault tables of every vector.
+func benchCompile(b *testing.B, name string) {
+	c, err := bench.FindCase(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts, err := bench.Row(context.Background(), c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := sim.MustNew(ts.Array)
+	vecs := ts.AllVectors()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Compile(vecs)
+	}
+	b.ReportMetric(float64(len(vecs)), "vectors")
+}
+
+func BenchmarkCompile_10x10(b *testing.B) { benchCompile(b, "10x10") }
+func BenchmarkCompile_20x20(b *testing.B) { benchCompile(b, "20x20") }
 
 func benchBaseline(b *testing.B, name string) {
 	c, err := bench.FindCase(name)

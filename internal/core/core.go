@@ -75,7 +75,7 @@ type Stats struct {
 	NV         int           // valves under test
 	NP, NC, NL int           // vector counts per family
 	N          int           // total vectors
-	TP, TC, TL time.Duration // generation times per family
+	TP, TC, TL time.Duration // generation times per family, vector conversion included
 	T          time.Duration // total generation time
 	// PathILPNonOptimal / CutILPNonOptimal count ILP solves that hit the
 	// node budget: the accepted paths/cuts are feasible but not proven
@@ -162,9 +162,9 @@ func Generate(ctx context.Context, a *grid.Array, cfg Config) (*TestSet, error) 
 	if err != nil {
 		return nil, fmt.Errorf("core: flow paths: %w", err)
 	}
-	ts.Stats.TP = time.Since(t0)
 	ts.Paths = fp.Paths
 	ts.PathVectors = fp.Vectors(a)
+	ts.Stats.TP = time.Since(t0)
 	ts.UncoveredPath = fp.Uncovered
 	ts.Stats.PathILPNonOptimal = fp.ILP.NonOptimal
 	ts.Stats.ILPSolves += fp.ILP.Solves
@@ -178,9 +178,9 @@ func Generate(ctx context.Context, a *grid.Array, cfg Config) (*TestSet, error) 
 	if err != nil {
 		return nil, fmt.Errorf("core: cut-sets: %w", err)
 	}
-	ts.Stats.TC = time.Since(t0)
 	ts.Cuts = cs.Cuts
 	ts.CutVectors = cs.Vectors(a)
+	ts.Stats.TC = time.Since(t0)
 	ts.UncoveredCut = cs.Uncovered
 	ts.Stats.CutILPNonOptimal = cs.ILP.NonOptimal
 	ts.Stats.ILPSolves += cs.ILP.Solves

@@ -57,13 +57,7 @@ type Cut struct {
 // Normal valve open.
 func (c *Cut) Vector(a *grid.Array, name string) *sim.Vector {
 	v := sim.NewVector(a, sim.CutSet, name)
-	member := make(map[grid.ValveID]bool, len(c.Valves))
-	for _, id := range c.Valves {
-		member[id] = true
-	}
-	for _, id := range a.NormalValves() {
-		v.SetOpen(id, !member[id])
-	}
+	cutVectorInto(a, c, v)
 	return v
 }
 

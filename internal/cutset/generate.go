@@ -72,33 +72,30 @@ func Generate(ctx context.Context, a *grid.Array, opt Options) (*Result, error) 
 		uncovered[id] = true
 	}
 	res := &Result{}
-	// One reusable command vector and repair scratch serve every candidate:
-	// the accept path runs a few hundred testability probes per cut, and
-	// rebuilding a full-array vector per probe was a dominant allocation
-	// source on the 30x30 row.
-	vec := sim.NewVector(a, sim.CutSet, "check")
+	// One reusable probe (command vector plus single-flip tables) and repair
+	// scratch serve every candidate cut.
+	pr := newProber(a, s)
 	rep := newRepairScratch(a)
-	var members []grid.ValveID
 	accept := func(c *Cut) bool {
 		if !opt.NoRepair {
 			rep.repair(a, c)
 		}
-		cutVectorInto(a, c, vec)
-		if s.VerifyCutVector(vec) != nil {
+		if !pr.load(c) {
 			return false
 		}
-		members = testableMembersVec(s, c, vec, members[:0])
 		newCov := 0
-		for _, id := range members {
-			if uncovered[id] {
+		for _, id := range c.Valves {
+			if uncovered[id] && pr.testable(id) {
 				newCov++
 			}
 		}
 		if newCov == 0 {
 			return false
 		}
-		for _, id := range members {
-			delete(uncovered, id)
+		for _, id := range c.Valves {
+			if pr.testable(id) {
+				delete(uncovered, id)
+			}
 		}
 		res.Cuts = append(res.Cuts, c)
 		return true
@@ -116,7 +113,7 @@ func Generate(ctx context.Context, a *grid.Array, opt Options) (*Result, error) 
 				return nil, err
 			}
 			target := minValve(uncovered)
-			if !d.coverOne(a, s, opt, rep, target, uncovered, accept) {
+			if !d.coverOne(a, pr, opt, rep, target, uncovered, accept) {
 				res.Uncovered = append(res.Uncovered, target)
 				delete(uncovered, target)
 			}
@@ -152,7 +149,7 @@ func Generate(ctx context.Context, a *grid.Array, opt Options) (*Result, error) 
 // coverOne tries to produce an accepted cut testing the target: jittered
 // reroutes first, then corner bans steering the curve away from U-turns
 // whose constraint-(9) repair would seal the target in.
-func (d *dual) coverOne(a *grid.Array, s *sim.Simulator, opt Options, rep *repairScratch,
+func (d *dual) coverOne(a *grid.Array, pr *prober, opt Options, rep *repairScratch,
 	target grid.ValveID, uncovered map[grid.ValveID]bool, accept func(*Cut) bool) bool {
 	bans := map[int]bool{}
 	tc1, tc2 := valveCorners(a, target)
@@ -167,7 +164,7 @@ func (d *dual) coverOne(a *grid.Array, s *sim.Simulator, opt Options, rep *repai
 		if c == nil {
 			continue
 		}
-		if stillTests(a, s, opt, rep, c, target, uncovered) {
+		if stillTests(a, pr, opt, rep, c, target, uncovered) {
 			return accept(c)
 		}
 		// Ban the far corners of whatever valves the repair would add.
@@ -197,7 +194,7 @@ func (d *dual) coverOne(a *grid.Array, s *sim.Simulator, opt Options, rep *repai
 // will undergo, still exposes a stuck-at-1 on the target valve. Used to
 // decide whether a candidate curve is worth accepting or a reroute is
 // needed.
-func stillTests(a *grid.Array, s *sim.Simulator, opt Options, rep *repairScratch, c *Cut,
+func stillTests(a *grid.Array, pr *prober, opt Options, rep *repairScratch, c *Cut,
 	target grid.ValveID, uncovered map[grid.ValveID]bool) bool {
 	if !uncovered[target] {
 		return true
@@ -209,7 +206,7 @@ func stillTests(a *grid.Array, s *sim.Simulator, opt Options, rep *repairScratch
 	if !opt.NoRepair {
 		rep.repair(a, probe)
 	}
-	return Validate(a, s, probe) == nil && Testable(a, s, probe, target)
+	return pr.load(probe) && pr.testable(target)
 }
 
 func minValve(set map[grid.ValveID]bool) grid.ValveID {
@@ -337,8 +334,7 @@ func repairConstraint9(a *grid.Array, c *Cut) {
 }
 
 // cutVectorInto writes the cut's command vector (members closed, every
-// other Normal valve open) into an existing vector, avoiding the per-probe
-// vector allocation of Cut.Vector.
+// other Normal valve open) into an existing vector.
 func cutVectorInto(a *grid.Array, c *Cut, vec *sim.Vector) {
 	for _, id := range a.NormalValves() {
 		vec.SetOpen(id, true)
@@ -355,44 +351,59 @@ func Validate(a *grid.Array, s *sim.Simulator, c *Cut) error {
 }
 
 // Testable reports whether a stuck-at-1 fault on member x of the cut is
-// observable: re-opening x alone must pressurize a sink.
+// observable: the cut separates, and re-opening x alone pressurizes a sink.
 func Testable(a *grid.Array, s *sim.Simulator, c *Cut, x grid.ValveID) bool {
-	vec := c.Vector(a, "check")
-	vec.SetOpen(x, true)
-	return s.SinkPressured(vec)
+	pr := newProber(a, s)
+	return pr.load(c) && pr.testable(x)
 }
 
-// testableMembersVec appends the cut's testable valves to out, probing over
-// a caller-owned vector that already holds the cut's command state (see
-// cutVectorInto); the vector is restored between probes.
-func testableMembersVec(s *sim.Simulator, c *Cut, vec *sim.Vector, out []grid.ValveID) []grid.ValveID {
-	for _, id := range c.Valves {
-		vec.SetOpen(id, true)
-		if s.SinkPressured(vec) {
-			out = append(out, id)
-		}
-		vec.SetOpen(id, false)
+// prober evaluates candidate cuts with the single-flip kernel: one pass
+// over a cut's vector answers Testable for every member at once. Its
+// command vector and tables are reused across the probes of one run.
+type prober struct {
+	a        *grid.Array
+	s        *sim.Simulator
+	vec      *sim.Vector
+	closeDet []uint64
+	openDet  []uint64
+}
+
+func newProber(a *grid.Array, s *sim.Simulator) *prober {
+	return &prober{a: a, s: s, vec: sim.NewVector(a, sim.CutSet, "check"),
+		closeDet: make([]uint64, s.FlipWords()), openDet: make([]uint64, s.FlipWords())}
+}
+
+// load reports whether the cut separates every source from every sink
+// and, if it does, fills the single-flip tables of its vector.
+func (pr *prober) load(c *Cut) bool {
+	cutVectorInto(pr.a, c, pr.vec)
+	if pr.s.VerifyCutVector(pr.vec) != nil {
+		return false
 	}
-	return out
+	pr.s.SingleFlipsInto(pr.vec, pr.closeDet, pr.openDet)
+	return true
 }
 
-// testableMembers filters the cut's valves down to those whose stuck-at-1
-// fault the cut exposes.
-func testableMembers(a *grid.Array, s *sim.Simulator, c *Cut) []grid.ValveID {
-	vec := c.Vector(a, "check")
-	return testableMembersVec(s, c, vec, nil)
-}
+// testable reports whether the loaded cut exposes a stuck-at-1 on x. The
+// loaded cut keeps every sink dark, so "opening x changes a reading" is
+// "opening x pressurizes a sink".
+func (pr *prober) testable(x grid.ValveID) bool { return sim.Flipped(pr.openDet, x) }
 
 // CoverageReport maps every Normal valve to the index of a cut that tests
-// it (-1 if none) — used by the guarantee verifier and the benchmarks.
+// it (-1 if none) — used by the guarantee verifier and the benchmarks. A
+// cut that does not separate tests nothing.
 func CoverageReport(a *grid.Array, s *sim.Simulator, cuts []*Cut) map[grid.ValveID]int {
 	out := make(map[grid.ValveID]int)
 	for _, id := range a.NormalValves() {
 		out[id] = -1
 	}
+	pr := newProber(a, s)
 	for i, c := range cuts {
-		for _, id := range testableMembers(a, s, c) {
-			if out[id] == -1 {
+		if !pr.load(c) {
+			continue
+		}
+		for _, id := range c.Valves {
+			if out[id] == -1 && pr.testable(id) {
 				out[id] = i
 			}
 		}

@@ -114,21 +114,19 @@ func (p *Path) CoveredNormal(a *grid.Array) []grid.ValveID {
 func (p *Path) Len() int { return len(p.Cells) }
 
 // TestedNormal returns the path's Normal valves whose stuck-at-0 fault the
-// path's vector actually exposes. Membership alone is not enough: an
-// always-open Channel edge touching the path in two places can carry
-// pressure around a broken valve — the paper's Fig. 5(a) interference — so
-// each valve is checked against the fault simulator.
+// path's vector actually exposes, in traversal order. Membership alone is
+// not enough: an always-open Channel edge touching the path in two places
+// can carry pressure around a broken valve — the paper's Fig. 5(a)
+// interference — so every valve is checked against the fault simulator,
+// all of them in one single-flip pass: a stuck-at-0 on an open path valve
+// is exactly closing it alone.
 func (p *Path) TestedNormal(a *grid.Array, s *sim.Simulator) []grid.ValveID {
-	vec := p.Vector(a, "probe")
-	good := s.Readings(vec, nil)
+	closeDet, openDet := make([]uint64, s.FlipWords()), make([]uint64, s.FlipWords())
+	s.SingleFlipsInto(p.Vector(a, "probe"), closeDet, openDet)
 	var out []grid.ValveID
 	for _, id := range p.CoveredNormal(a) {
-		bad := s.Readings(vec, []sim.Fault{{Kind: sim.StuckAt0, A: id}})
-		for i := range good {
-			if good[i] != bad[i] {
-				out = append(out, id)
-				break
-			}
+		if sim.Flipped(closeDet, id) {
+			out = append(out, id)
 		}
 	}
 	return out

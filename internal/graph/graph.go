@@ -9,6 +9,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // Graph is an undirected multigraph over dense node indices 0..N-1. Each
@@ -22,8 +24,10 @@ type Graph struct {
 	// Flat CSR mirror of adj for the word-parallel relax loop: the arcs out
 	// of node u are csrTo/csrEdge[csrHead[u]:csrHead[u+1]]. int32 entries
 	// halve the memory traffic of the hottest loop in the repo and drop the
-	// per-node slice-header chase. Rebuilt lazily after AddEdge.
-	csrOK   bool
+	// per-node slice-header chase. Rebuilt lazily after AddEdge; csrMu makes
+	// the first rebuild safe when concurrent queries race to it.
+	csrOK   atomic.Bool
+	csrMu   sync.Mutex
 	csrHead []int32
 	csrTo   []int32
 	csrEdge []int32
@@ -67,15 +71,23 @@ func (g *Graph) AddEdge(u, v, label int) int {
 	if u != v {
 		g.adj[v] = append(g.adj[v], Arc{To: u, Edge: id})
 	}
-	g.csrOK = false
+	g.csrOK.Store(false)
 	return id
 }
 
 // ensureCSR (re)builds the flat adjacency mirror. Graphs here are built once
 // and then queried, so in the steady state this is a cheap flag check and the
-// word-parallel hot path stays allocation-free.
+// word-parallel hot path stays allocation-free. Concurrent queries may race
+// to the first build (campaign workers sharing one simulator do); the
+// double-checked lock lets exactly one of them build it. AddEdge must not run
+// concurrently with queries.
 func (g *Graph) ensureCSR() {
-	if g.csrOK {
+	if g.csrOK.Load() {
+		return
+	}
+	g.csrMu.Lock()
+	defer g.csrMu.Unlock()
+	if g.csrOK.Load() {
 		return
 	}
 	arcs := 0
@@ -108,16 +120,20 @@ func (g *Graph) ensureCSR() {
 		}
 	}
 	g.csrHead[g.n] = int32(pos)
-	g.csrOK = true
+	g.csrOK.Store(true)
 }
 
 // Adj returns the arcs out of node u. The slice must not be modified.
+//
+//fpva:allocfree
 func (g *Graph) Adj(u int) []Arc { return g.adj[u] }
 
 // EdgeAt returns edge e.
 func (g *Graph) EdgeAt(e int) Edge { return g.edges[e] }
 
 // Edges returns all edges. The slice must not be modified.
+//
+//fpva:allocfree
 func (g *Graph) Edges() []Edge { return g.edges }
 
 // BFS runs breadth-first search from src with edges filtered by enabled
@@ -383,6 +399,19 @@ func (g *Graph) Dijkstra(src int, weight func(e int) float64) ([]float64, []int)
 //
 //fpva:allocfree
 func (g *Graph) DijkstraInto(sc *DijkstraScratch, src int, weight func(e int) float64) ([]float64, []int) {
+	return g.dijkstraInto(sc, src, -1, weight)
+}
+
+// dijkstraInto runs Dijkstra from src and, when dst >= 0, stops as soon as
+// dst is settled. The early exit leaves dst's via chain exactly as a full
+// run would: weights are non-negative, so nodes settle in non-decreasing
+// distance and nothing popped later can offer dst (or any node on its
+// chain, all settled before it) a shorter distance, and relaxation uses a
+// strict <, so an equal one never rewrites a via edge either. Only the
+// distances of unsettled nodes are left unfinished.
+//
+//fpva:allocfree
+func (g *Graph) dijkstraInto(sc *DijkstraScratch, src, dst int, weight func(e int) float64) ([]float64, []int) {
 	dist, via, done := sc.dist, sc.via, sc.done
 	for i := range dist {
 		dist[i] = math.Inf(1)
@@ -400,6 +429,9 @@ func (g *Graph) DijkstraInto(sc *DijkstraScratch, src int, weight func(e int) fl
 			continue
 		}
 		done[u] = true
+		if u == dst {
+			break
+		}
 		for _, a := range g.adj[u] {
 			w := weight(a.Edge)
 			if math.IsInf(w, 1) || w < 0 {
@@ -426,9 +458,10 @@ func (g *Graph) DijkstraPathEdges(src, dst int, weight func(e int) float64) []in
 
 // DijkstraPathEdgesInto is DijkstraPathEdges over caller-owned scratch,
 // appending the edge sequence to buf (pass buf[:0] to reuse its backing
-// array). It returns nil if dst is unreachable.
+// array). It returns nil if dst is unreachable. The search stops once dst
+// is settled; the path is the one a full Dijkstra run would return.
 func (g *Graph) DijkstraPathEdgesInto(sc *DijkstraScratch, src, dst int, weight func(e int) float64, buf []int) []int {
-	dist, via := g.DijkstraInto(sc, src, weight)
+	dist, via := g.dijkstraInto(sc, src, dst, weight)
 	if math.IsInf(dist[dst], 1) {
 		return nil
 	}

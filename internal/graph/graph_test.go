@@ -483,3 +483,30 @@ func TestBFSWordsEmptyAndSources(t *testing.T) {
 		t.Fatalf("isolated source: reach %v", reach)
 	}
 }
+
+// TestWordBFSConcurrentFirstUse pins that the lazily built CSR mirror is
+// safe when several goroutines make the first word-parallel query on a
+// fresh graph at once, as campaign workers sharing one simulator do. The
+// race detector (go test -race) is what catches a regression here.
+func TestWordBFSConcurrentFirstUse(t *testing.T) {
+	g, at := ladder(16)
+	n, m := g.N(), g.M()
+	enabled := make([]uint64, m)
+	for e := range enabled {
+		enabled[e] = ^uint64(0)
+	}
+	const workers = 4
+	results := make(chan uint64, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			reach := g.BFSWordsInto(make([]uint64, n), make([]int, n), make([]bool, n),
+				[]int{at(0, 0)}, 1, enabled)
+			results <- reach[at(1, 15)]
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if r := <-results; r != 1 {
+			t.Fatalf("far corner reach = %#x, want 1", r)
+		}
+	}
+}

@@ -72,18 +72,28 @@ type Result struct {
 	Uncovered []Pair
 }
 
-// Covers reports whether the vector observes pair p: the vector must be
-// pressurized at some sink fault-free, with exactly one pair member open on
-// the pressurized portion — checked operationally: injecting the leak must
-// change some sink reading.
+// Covers reports whether the vector observes pair p: the leak must change
+// some sink reading. That happens exactly when one member is commanded
+// open and the other closed (the leak then closes the open one, and
+// nothing else) and closing that open member alone changes a reading.
 func Covers(s *sim.Simulator, vec *sim.Vector, p Pair) bool {
-	fault := []sim.Fault{{Kind: sim.ControlLeak, A: p[0], B: p[1]}}
-	good := s.Readings(vec, nil)
-	bad := s.Readings(vec, fault)
-	for i := range good {
-		if good[i] != bad[i] {
-			return true
-		}
+	closeDet, openDet := make([]uint64, s.FlipWords()), make([]uint64, s.FlipWords())
+	s.SingleFlipsInto(vec, closeDet, openDet)
+	return observes(s.Array(), vec, closeDet, p)
+}
+
+// observes is Covers over the vector's precomputed single-flip closure
+// table. Like the simulator's fault model, a leak touching a valve that is
+// not Normal has no effect.
+func observes(a *grid.Array, vec *sim.Vector, closeDet []uint64, p Pair) bool {
+	if a.Kind(p[0]) != grid.Normal || a.Kind(p[1]) != grid.Normal {
+		return false
+	}
+	switch open0, open1 := vec.Open(p[0]), vec.Open(p[1]); {
+	case open0 && !open1:
+		return sim.Flipped(closeDet, p[0])
+	case open1 && !open0:
+		return sim.Flipped(closeDet, p[1])
 	}
 	return false
 }
@@ -94,12 +104,11 @@ func Covers(s *sim.Simulator, vec *sim.Vector, p Pair) bool {
 // flow keeps nl small. Cancelling ctx (nil means context.Background())
 // aborts between vectors and returns ctx.Err().
 //
-// Coverage probes run against compiled vectors: the fault-free state and
-// golden readings of each vector are computed once, and a pair whose leak
-// does not touch a vector's physical state is rejected without a
-// simulation. One routing graph is shared by every per-pair fallback query.
-// Together these drop the cost of the nl family from the dominant term of a
-// Table I row to noise.
+// Coverage is read off one single-flip kernel pass per vector
+// (sim.SingleFlipsInto): a pair is observed iff exactly one member is open
+// and closing it alone changes a reading, so every candidate pair costs a
+// table lookup, not a simulation. One routing graph is shared by every
+// per-pair fallback query.
 func Generate(ctx context.Context, a *grid.Array, existing []*sim.Vector) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -116,28 +125,24 @@ func Generate(ctx context.Context, a *grid.Array, existing []*sim.Vector) (*Resu
 	for _, p := range res.Pairs {
 		uncovered[p] = true
 	}
-	fault := make([]sim.Fault, 1)
-	leak := func(p Pair) []sim.Fault {
-		fault[0] = sim.Fault{Kind: sim.ControlLeak, A: p[0], B: p[1]}
-		return fault
-	}
-	// covered collects the pairs a compiled vector set observes. Scanning
-	// res.Pairs (filtered through the uncovered set) rather than the set
-	// itself keeps the probe order — and with it every simulator-side
-	// effect and tie-break downstream — independent of map iteration.
+	// covered collects the still-uncovered pairs a vector observes.
+	// Scanning res.Pairs (filtered through the uncovered set) rather than
+	// the set itself keeps the order — and with it every tie-break
+	// downstream — independent of map iteration.
+	closeDet, openDet := make([]uint64, s.FlipWords()), make([]uint64, s.FlipWords())
 	var covered []Pair
-	sweep := func(cv *sim.CompiledVectors) []Pair {
+	sweep := func(vec *sim.Vector) []Pair {
+		s.SingleFlipsInto(vec, closeDet, openDet)
 		covered = covered[:0]
 		for _, p := range res.Pairs {
-			if uncovered[p] && cv.Detects(leak(p)) {
+			if uncovered[p] && observes(a, vec, closeDet, p) {
 				covered = append(covered, p)
 			}
 		}
 		return covered
 	}
-	if len(existing) > 0 {
-		cv := s.Compile(existing)
-		for _, p := range sweep(cv) {
+	for _, vec := range existing {
+		for _, p := range sweep(vec) {
 			delete(uncovered, p)
 		}
 	}
@@ -147,16 +152,13 @@ func Generate(ctx context.Context, a *grid.Array, existing []*sim.Vector) (*Resu
 	// member on the path. ceil(nr/2) combs split almost all pairs; the
 	// per-pair loop below mops up the remainder (lead-in columns, pairs
 	// displaced by obstacles or channels).
-	single := make([]*sim.Vector, 1)
 	for _, comb := range combPaths(a) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		vec := comb.Vector(a, "leak")
 		vec.Kind = sim.Leakage
-		single[0] = vec
-		cv := s.Compile(single)
-		if len(sweep(cv)) == 0 {
+		if len(sweep(vec)) == 0 {
 			continue
 		}
 		vec.Name = fmt.Sprintf("leak%d", len(res.Vectors))
@@ -179,9 +181,7 @@ func Generate(ctx context.Context, a *grid.Array, existing []*sim.Vector) (*Resu
 		}
 		vec.Name = fmt.Sprintf("leak%d", len(res.Vectors))
 		res.Vectors = append(res.Vectors, vec)
-		single[0] = vec
-		cv := s.Compile(single)
-		for _, p := range sweep(cv) {
+		for _, p := range sweep(vec) {
 			delete(uncovered, p)
 		}
 	}

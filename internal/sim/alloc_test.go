@@ -50,3 +50,24 @@ func TestCampaignInnerLoopAllocationFree(t *testing.T) {
 		t.Fatalf("campaign fixed allocation overhead too high: %v objects", large)
 	}
 }
+
+// TestSingleFlipsAllocationFree pins the single-flip kernel to zero
+// allocations per call once its pooled scratch is warm: generation calls it
+// once per candidate cut, path and leakage vector.
+func TestSingleFlipsAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
+	}
+	a := grid.MustNewStandard(8, 8)
+	if _, err := a.SetChannelH(3, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	s := MustNew(a)
+	closeDet, openDet := make([]uint64, s.FlipWords()), make([]uint64, s.FlipWords())
+	for _, vec := range []*Vector{lPath(a), columnCut(a, 4)} {
+		s.SingleFlipsInto(vec, closeDet, openDet) // warm the scratch pool
+		if allocs := testing.AllocsPerRun(200, func() { s.SingleFlipsInto(vec, closeDet, openDet) }); allocs != 0 {
+			t.Fatalf("SingleFlipsInto(%s) allocates %v objects per call, want 0", vec.Name, allocs)
+		}
+	}
+}

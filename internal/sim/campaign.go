@@ -154,79 +154,13 @@ func (s *Simulator) Compile(vectors []*Vector) *CompiledVectors {
 			}
 		}
 		cv.baseReach[i] = reach
+		// The single-fault tables are exactly the single-flip kernel's
+		// output layout.
+		cv.detClosure[i] = make([]uint64, s.FlipWords())
+		cv.detOpen[i] = make([]uint64, s.FlipWords())
+		s.SingleFlipsInto(vec, cv.detClosure[i], cv.detOpen[i])
 	}
-	cv.compileSingleFaultTables()
 	return cv
-}
-
-// compileSingleFaultTables fills detClosure and detOpen by evaluating, for
-// every vector, the single-valve-flip universes bit-parallel: lane j of
-// chunk c is the universe in which only valve c*64+j is forced closed
-// (resp. open). One word flood per (vector, 64 valves, polarity) answers 64
-// "does this single flip matter?" questions.
-func (cv *CompiledVectors) compileSingleFaultTables() {
-	s := cv.s
-	nv := s.arr.NumValves()
-	chunks := (nv + 63) / 64
-	ws := s.getWordScratch()
-	defer s.putWordScratch(ws)
-	for i := range cv.vecs {
-		detC := make([]uint64, chunks)
-		detO := make([]uint64, chunks)
-		words := cv.baseWords[i]
-		for c := 0; c < chunks; c++ {
-			lo := c * 64
-			hi := lo + 64
-			if hi > nv {
-				hi = nv
-			}
-			// Closure universes: clear lane v-lo on valve v's edges where
-			// the valve is base-open (a closed valve's closure is the
-			// fault-free universe and its lane diff stays zero).
-			copy(ws.edgeEff, cv.edgeWords[i])
-			for v := lo; v < hi; v++ {
-				if words[v] == 0 {
-					continue
-				}
-				bit := uint64(1) << uint(v-lo)
-				for _, e := range s.valveEdges[v] {
-					ws.edgeEff[e] &^= bit
-				}
-			}
-			detC[c] = cv.singleFlipDiff(ws, i)
-			// Open universes: the mirror image on base-closed valves.
-			copy(ws.edgeEff, cv.edgeWords[i])
-			for v := lo; v < hi; v++ {
-				if words[v] != 0 {
-					continue
-				}
-				bit := uint64(1) << uint(v-lo)
-				for _, e := range s.valveEdges[v] {
-					ws.edgeEff[e] |= bit
-				}
-			}
-			detO[c] = cv.singleFlipDiff(ws, i)
-		}
-		cv.detClosure[i] = detC
-		cv.detOpen[i] = detO
-	}
-}
-
-// singleFlipDiff floods ws.edgeEff and returns, per lane, whether the sink
-// readings differ from vector i's golden ones.
-func (cv *CompiledVectors) singleFlipDiff(ws *wordScratch, i int) uint64 {
-	s := cv.s
-	reach := s.g.BFSWordsInto(ws.reach, ws.queue, ws.inq, s.srcNodes, ^uint64(0), ws.edgeEff)
-	diff := uint64(0)
-	golden := cv.golden[i]
-	for j, snk := range s.sinkNodes {
-		g := uint64(0)
-		if golden[j] {
-			g = ^uint64(0)
-		}
-		diff |= reach[snk] ^ g
-	}
-	return diff
 }
 
 // Simulator returns the simulator the vectors were compiled against.

@@ -136,6 +136,7 @@ type Simulator struct {
 	g             *graph.Graph
 	srcNodes      []int
 	sinkNodes     []int
+	isSrcNode     []bool // graph node -> it is a source port
 	sinkNames     []string
 	edgeValve     []int   // graph edge index -> valve ID
 	valveEdges    [][]int // valve ID -> graph edge indices (word-engine seeding)
@@ -145,6 +146,7 @@ type Simulator struct {
 	isNormal      []bool // valve ID -> Kind == Normal (hot-path kind guard)
 	scratches     sync.Pool
 	wordScratches sync.Pool
+	flipScratches sync.Pool
 }
 
 // New builds a simulator for the array. The array must Validate.
@@ -176,10 +178,11 @@ func New(a *grid.Array) (*Simulator, error) {
 		// Passable boundary edges without ports cannot exist (boundary
 		// edges are Wall or PortOpen), so no other case arises.
 	}
-	s := &Simulator{arr: a, g: g}
+	s := &Simulator{arr: a, g: g, isSrcNode: make([]bool, g.N())}
 	for i, p := range ports {
 		if p.Source {
 			s.srcNodes = append(s.srcNodes, n+i)
+			s.isSrcNode[n+i] = true
 		} else {
 			s.sinkNodes = append(s.sinkNodes, n+i)
 			s.sinkNames = append(s.sinkNames, p.Name)
@@ -211,6 +214,7 @@ func New(a *grid.Array) (*Simulator, error) {
 	}
 	s.scratches.New = func() any { return s.newScratch() }
 	s.wordScratches.New = func() any { return s.newWordScratch() }
+	s.flipScratches.New = func() any { return s.newFlipScratch() }
 	return s, nil
 }
 
@@ -328,8 +332,7 @@ func (s *Simulator) readingsInto(sc *scratch, out []bool) []bool {
 }
 
 // SinkPressured reports whether any sink sees pressure under vec on a
-// fault-free chip. Unlike Readings it allocates nothing, which makes it the
-// inner loop of cut-set testability scans.
+// fault-free chip. Unlike Readings it allocates nothing.
 //
 //fpva:allocfree
 func (s *Simulator) SinkPressured(vec *Vector) bool {
